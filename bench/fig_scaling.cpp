@@ -5,7 +5,8 @@
 // mesh partitions, statically scheduled, with the batch scaled in
 // proportion so per-node load is constant) and reports, per machine size:
 //
-//   - events fired and wall-clock events/sec. Algorithmic routing and the
+//   - wall-clock jobs/sec (the gated rate), events fired, events per node
+//     and per job, and wall-clock events/sec. Algorithmic routing and the
 //     SoA hot state make the per-event cost O(1) in machine size
 //     *algorithmically*; what remains is the memory hierarchy (the pending
 //     set is ~1 event per busy node, so heap ops comb O(log N), and the
@@ -17,8 +18,12 @@
 //     vs the O(N^2) BFS table the simulation used to materialise.
 //
 // --json=PATH writes a Google-Benchmark-shaped report (items_per_second =
-// events/sec, plus bytes_per_node et al. as counters) so tools/perf_gate.py
-// can gate it against BENCH_scaling.json exactly like the microbenches.
+// simulated jobs completed per wall second, plus events_per_s,
+// events_per_node, events_per_job, bytes_per_node et al. as counters) so
+// tools/perf_gate.py can gate it against BENCH_scaling.json exactly like
+// the microbenches. The gate is on jobs/s, not events/s: the CPU model
+// fires one event per lone op burst instead of one per quantum, so
+// events/s can fall while the same simulation finishes sooner.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -81,9 +86,11 @@ std::size_t live_heap_bytes() {
 struct SizePoint {
   int nodes = 0;
   std::uint64_t events = 0;
+  std::size_t jobs = 0;
   std::size_t peak_pending = 0;
   double wall_s = 0.0;
   double events_per_s = 0.0;
+  double jobs_per_s = 0.0;
   double mean_response_s = 0.0;
   double makespan_s = 0.0;
   std::size_t machine_bytes = 0;        // construction RSS delta
@@ -142,12 +149,15 @@ SizePoint run_size(int nodes, int reps, bench::ObsSession* obs,
         std::chrono::steady_clock::now() - start;
     point.wall_s = std::min(point.wall_s, wall.count());
     point.events = run.machine.events;
+    point.jobs = run.jobs.size();
     point.peak_pending = run.machine.peak_pending_events;
     point.mean_response_s = run.mean_response_s();
     point.makespan_s = run.makespan_s;
   }
   point.events_per_s =
       point.wall_s > 0 ? static_cast<double>(point.events) / point.wall_s : 0;
+  point.jobs_per_s =
+      point.wall_s > 0 ? static_cast<double>(point.jobs) / point.wall_s : 0;
   return point;
 }
 
@@ -160,8 +170,15 @@ void write_json(const std::string& path, const std::vector<SizePoint>& points) {
     out << "    {\"name\": \"BM_Scaling/" << p.nodes << "\", "
         << "\"run_type\": \"iteration\", \"iterations\": 1, "
         << "\"real_time\": " << p.wall_s << ", \"time_unit\": \"s\", "
-        << "\"items_per_second\": " << p.events_per_s << ", "
+        << "\"items_per_second\": " << p.jobs_per_s << ", "
+        << "\"jobs\": " << p.jobs << ", "
         << "\"events\": " << p.events << ", "
+        << "\"events_per_s\": " << p.events_per_s << ", "
+        << "\"events_per_node\": "
+        << static_cast<double>(p.events) / p.nodes << ", "
+        << "\"events_per_job\": "
+        << static_cast<double>(p.events) / static_cast<double>(p.jobs)
+        << ", "
         << "\"bytes_per_node\": "
         << static_cast<double>(p.machine_bytes) / p.nodes << ", "
         << "\"topology_bytes\": " << p.topology_bytes << ", "
@@ -273,13 +290,15 @@ int main(int argc, char** argv) {
               << core::fmt_seconds(points.back().wall_s) << " s\n";
   }
 
-  core::Table table({"nodes", "events", "peak pend", "wall (s)", "events/s",
-                     "MRT (s)", "KB/node", "route KB (table)",
-                     "route KB (algo)"});
+  core::Table table({"nodes", "events", "events/node", "peak pend",
+                     "wall (s)", "jobs/s", "events/s", "MRT (s)", "KB/node",
+                     "route KB (table)", "route KB (algo)"});
   for (const auto& p : points) {
     table.add_row({std::to_string(p.nodes), std::to_string(p.events),
+                   std::to_string(p.events / static_cast<std::uint64_t>(p.nodes)),
                    std::to_string(p.peak_pending),
                    core::fmt_seconds(p.wall_s),
+                   std::to_string(static_cast<std::uint64_t>(p.jobs_per_s)),
                    std::to_string(static_cast<std::uint64_t>(p.events_per_s)),
                    core::fmt_seconds(p.mean_response_s),
                    std::to_string(p.machine_bytes / 1024 /

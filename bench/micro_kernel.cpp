@@ -13,6 +13,7 @@
 #include "mem/mmu.h"
 #include "net/network.h"
 #include "net/routing.h"
+#include "node/transputer.h"
 #include "obs/job_trace.h"
 #include "obs/metrics.h"
 #include "sim/rng.h"
@@ -240,6 +241,31 @@ void BM_MmuFragmentedAlloc(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MmuFragmentedAlloc);
+
+void BM_TransputerLoneBurst(benchmark::State& state) {
+  // One process alone on a CPU computing 100 ms under the 2 ms hardware
+  // quantum: the CPU model charges it as one event (the 49 quantum expiries
+  // inside are credited arithmetically), so a burst costs a dispatch pump,
+  // a context switch and one charge. items = bursts; the events_per_burst
+  // counter pins the event count.
+  std::uint64_t events = 0;
+  for (auto _ : state) {
+    sim::Simulation sim;
+    mem::Mmu mmu(sim, 64 * 1024);
+    node::Transputer cpu(sim, 0, mmu);
+    node::Program prog;
+    prog.compute(sim::SimTime::milliseconds(100)).exit();
+    node::Process p(1, 1, std::move(prog));
+    p.bind_to_node(0);
+    cpu.make_ready(p);
+    events += sim.run();
+    benchmark::DoNotOptimize(cpu.quantum_expiries());
+  }
+  state.SetItemsProcessed(state.iterations());
+  state.counters["events_per_burst"] =
+      static_cast<double>(events) / static_cast<double>(state.iterations());
+}
+BENCHMARK(BM_TransputerLoneBurst);
 
 void BM_RoutingTableConstruction(benchmark::State& state) {
   const auto topo = net::Topology::hypercube(16);

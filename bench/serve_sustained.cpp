@@ -446,6 +446,12 @@ int main(int argc, char** argv) {
            << opt.jobs << "\", \"run_type\": \"iteration\", "
            << "\"items_per_second\": " << jobs_per_s << ", "
            << "\"jobs\": " << run.result.completed << ", "
+           << "\"events\": " << run.result.machine.events << ", "
+           << "\"events_per_job\": "
+           << static_cast<double>(run.result.machine.events) /
+                  static_cast<double>(std::max<std::uint64_t>(
+                      1, run.result.completed))
+           << ", "
            << "\"shed\": " << run.result.shed << ", "
            << "\"peak_live_jobs\": " << run.result.peak_live_jobs << ", "
            << "\"rss_quarter_mb\": " << run.rss_quarter_mb << ", "

@@ -334,8 +334,9 @@ void Multicomputer::wire_observability() {
                                    std::to_string(ends.to));
     if (l == 0) link_base = track;
     const net::Link* lk = &network_->link(l);
-    sampler.add_channel([lk, this] { return lk->utilization(sim_.now()); },
-                        track, n_util);
+    sampler.add_channel(
+        [lk, &sampler] { return lk->utilization(sampler.sample_time()); },
+        track, n_util);
   }
   const obs::TrackId net_track =
       names->add_track(obs::TrackKind::kGlobal, "network");

@@ -1,6 +1,7 @@
 // tmcsim -- a schedulable process.
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <functional>
 #include <optional>
@@ -30,6 +31,8 @@ enum class ProcessState {
 };
 
 [[nodiscard]] std::string_view to_string(ProcessState s);
+
+class Transputer;
 
 /// A process: an op script bound to a node, executed by that node's
 /// Transputer under the local scheduling discipline.
@@ -65,7 +68,11 @@ class Process {
   /// Per-dispatch CPU quantum. The hardware default is 2 ms; time-sharing
   /// policies override it with the RR-job quantum Q = (P/T) * q.
   [[nodiscard]] sim::SimTime quantum() const { return quantum_; }
-  void set_quantum(sim::SimTime q) { quantum_ = q; }
+  /// Set at job creation only: a running charge's boundaries derive from it.
+  void set_quantum(sim::SimTime q) {
+    assert(state_ != ProcessState::kRunning && "quantum of a running process");
+    quantum_ = q;
+  }
 
   /// Invoked (by the Transputer) when the process exits.
   void set_on_exit(std::function<void(Process&)> cb) { on_exit_ = std::move(cb); }
@@ -74,7 +81,8 @@ class Process {
   void bind_to_node(net::NodeId node) { node_ = node; }
 
   // --- accounting -------------------------------------------------------
-  [[nodiscard]] sim::SimTime cpu_time() const { return cpu_time_; }
+  /// Includes the quanta of an in-flight lone run passed so far.
+  [[nodiscard]] sim::SimTime cpu_time() const;
   [[nodiscard]] std::uint64_t dispatches() const { return dispatches_; }
   [[nodiscard]] std::uint64_t preemptions() const { return preemptions_; }
   [[nodiscard]] std::size_t held_bytes() const {
@@ -113,6 +121,7 @@ class Process {
   std::function<void(Process&)> on_exit_;
 
   // Accounting.
+  const Transputer* cpu_ = nullptr;  // the CPU it was last made ready on
   sim::SimTime cpu_time_;
   std::uint64_t dispatches_ = 0;
   std::uint64_t preemptions_ = 0;

@@ -19,6 +19,10 @@ std::string_view to_string(ProcessState s) {
   return "?";
 }
 
+sim::SimTime Process::cpu_time() const {
+  return cpu_ == nullptr ? cpu_time_ : cpu_time_ + cpu_->passed_cpu(*this);
+}
+
 Transputer::Transputer(sim::Simulation& sim, net::NodeId node, mem::Mmu& mmu,
                        Params params)
     : sim_(sim), node_(node), mmu_(mmu), params_(params) {}
@@ -59,7 +63,9 @@ void Transputer::make_ready(Process& p, sim::EventBatch* batch) {
     return;
   }
   p.state_ = ProcessState::kReady;
+  p.cpu_ = this;
   low_queue_.push_back(&p);
+  end_lone_run();
   request_dispatch(batch);
 }
 
@@ -105,6 +111,7 @@ void Transputer::post_service(sim::SimTime cost,
                               sim::UniqueFunction<void()> done) {
   ++service_items_;
   service_queue_.push_back(ServiceWork{cost, std::move(done)});
+  end_lone_run();
   request_dispatch();
 }
 
@@ -162,7 +169,10 @@ void Transputer::request_dispatch(sim::EventBatch* batch) {
   }
 }
 
-void Transputer::crash() { crashed_ = true; }
+void Transputer::crash() {
+  crashed_ = true;
+  end_lone_run();
+}
 
 void Transputer::restore() {
   crashed_ = false;
@@ -282,8 +292,7 @@ void Transputer::continue_low() {
       p.compute_remaining_ = compute->cost;
       p.phase_ = Process::OpPhase::kCopy;
     }
-    plan_charge(ChargeKind::kOp,
-                std::min(p.compute_remaining_, quantum_left_));
+    plan_op_charge(p);
     return;
   }
 
@@ -309,8 +318,7 @@ void Transputer::continue_low() {
       dispatch();
       return;
     }
-    plan_charge(ChargeKind::kOp,
-                std::min(p.compute_remaining_, quantum_left_));
+    plan_op_charge(p);
     return;
   }
 
@@ -331,8 +339,7 @@ void Transputer::continue_low() {
               static_cast<std::int64_t>(delivered->message.bytes);
       p.staged_ = std::move(delivered);
     }
-    plan_charge(ChargeKind::kOp,
-                std::min(p.compute_remaining_, quantum_left_));
+    plan_op_charge(p);
     return;
   }
 
@@ -343,8 +350,7 @@ void Transputer::continue_low() {
       p.compute_remaining_ = ctl->cost;
       p.phase_ = Process::OpPhase::kCopy;
     }
-    plan_charge(ChargeKind::kOp,
-                std::min(p.compute_remaining_, quantum_left_));
+    plan_op_charge(p);
     return;
   }
 
@@ -387,11 +393,90 @@ void Transputer::plan_charge(ChargeKind kind, sim::SimTime amount) {
   charge_amount_ = amount;
   set_busy(true);
   charge_event_ = sim_.schedule(amount, [this] { on_charge_done(); });
+  charge_seq_ = sim_.last_seq();
+}
+
+void Transputer::plan_op_charge(Process& p) {
+  plan_charge(ChargeKind::kOp, lone() ? p.compute_remaining_
+                                      : std::min(p.compute_remaining_,
+                                                 quantum_left_));
+}
+
+sim::SimTime Transputer::boundary(std::uint64_t k) const {
+  return charge_started_ + quantum_left_ +
+         current_->quantum() * static_cast<std::int64_t>(k);
+}
+
+std::uint64_t Transputer::inner_boundaries() const {
+  if (charge_amount_ <= quantum_left_) return 0;
+  return static_cast<std::uint64_t>(
+             (charge_amount_ - quantum_left_).ns() - 1) /
+             static_cast<std::uint64_t>(current_->quantum().ns()) +
+         1;
+}
+
+std::uint64_t Transputer::boundaries_passed() const {
+  if (charge_kind_ != ChargeKind::kOp || charge_amount_ <= quantum_left_) {
+    return 0;  // no boundary before the charge's end
+  }
+  const std::int64_t past_first =
+      (sim_.now() - charge_started_ - quantum_left_).ns();
+  if (past_first < 0) return 0;
+  const std::int64_t q = current_->quantum().ns();
+  std::uint64_t n = static_cast<std::uint64_t>(past_first / q) + 1;
+  // A boundary exactly at now is still ahead of an event keyed before it.
+  if (past_first % q == 0 && sim_.firing_seq() < charge_seq_) --n;
+  return std::min(n, inner_boundaries());
+}
+
+sim::SimTime Transputer::passed_cpu(const Process& p) const {
+  if (current_ != &p) return sim::SimTime::zero();
+  const std::uint64_t n = boundaries_passed();
+  return n == 0 ? sim::SimTime::zero() : boundary(n - 1) - charge_started_;
+}
+
+void Transputer::credit_boundaries(Process& p, std::uint64_t n) {
+  if (n == 0) return;
+  if (timeline_ != nullptr) {
+    sim::SimTime from = charge_started_;
+    for (std::uint64_t k = 0; k < n; ++k) {
+      const sim::SimTime at = boundary(k);
+      record_charge(ChargeKind::kOp, from, at - from,
+                    static_cast<double>(p.id()));
+      timeline_->instant(track_, name_quantum_, at,
+                         static_cast<double>(p.id()));
+      from = at;
+    }
+  }
+  const sim::SimTime used = boundary(n - 1) - charge_started_;
+  quantum_expiries_ += n;
+  p.cpu_time_ += used;
+  p.compute_remaining_ -= used;
+  charge_started_ += used;
+  charge_amount_ -= used;
+  quantum_left_ = p.quantum();
+  service_turn_ = true;
+}
+
+void Transputer::end_lone_run() {
+  if (charge_kind_ != ChargeKind::kOp || charge_amount_ <= quantum_left_) {
+    return;  // already ends at or before its first boundary
+  }
+  const std::uint64_t n = boundaries_passed();
+  if (n >= inner_boundaries()) return;  // ends at or before that boundary
+  const sim::SimTime at = boundary(n);
+  const bool cancelled = sim_.cancel(charge_event_);
+  assert(cancelled);
+  (void)cancelled;
+  charge_amount_ = at - charge_started_;
+  charge_event_ =
+      sim_.schedule_at_seq(at, charge_seq_, [this] { on_charge_done(); });
 }
 
 void Transputer::on_charge_done() {
   charge_event_ = sim::kNoEvent;
   const ChargeKind kind = charge_kind_;
+  if (kind == ChargeKind::kOp) credit_boundaries(*current_, inner_boundaries());
   charge_kind_ = ChargeKind::kNone;
   const sim::SimTime amount = charge_amount_;
   if (timeline_ != nullptr) {
@@ -464,9 +549,10 @@ Process& Transputer::interrupt_low_charge() {
   (void)cancelled;
   charge_event_ = sim::kNoEvent;
   const ChargeKind kind = charge_kind_;
+  Process& p = *current_;
+  if (kind == ChargeKind::kOp) credit_boundaries(p, boundaries_passed());
   charge_kind_ = ChargeKind::kNone;
 
-  Process& p = *current_;
   ++p.preemptions_;
   record_charge(kind, charge_started_, sim_.now() - charge_started_,
                 static_cast<double>(p.id()));

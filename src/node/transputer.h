@@ -18,6 +18,34 @@
 // bursts are preemptible CPU charges; sends stage a buffer from the local
 // MMU, pay a copy cost and hand off to the network; receives block on the
 // mailbox; allocations block on the MMU.
+//
+// Lone runs and virtual quantum boundaries. A quantum expiry only matters
+// when something else could take the CPU. So while the CPU has nothing else
+// to run (low, high and service queues empty, not crashed), an op charge --
+// compute, send copy, receive copy or ControlOp -- is planned for the op's
+// whole remaining cost in ONE event. The quantum boundaries inside it are
+// virtual: b_k = start + quantum_left + k * quantum, k >= 0. The moment the
+// CPU stops being lone (make_ready, resume, post_service, crash) the charge
+// is cut back to end at the next unpassed boundary, exactly where the
+// per-quantum model would next look at the queues; interrupts that take the
+// CPU at once (post_high, suspend, force_exit) credit every boundary passed.
+// Passed boundaries are credited arithmetically -- quantum_expiries, the
+// quantum reset, the process's cpu_time, and with a timeline attached the
+// per-quantum compute spans and quantum-expiry instants -- so the counters,
+// timeline records and simulated behaviour match a CPU that fires one
+// event per quantum; mid-burst readers (quantum_expiries(),
+// Process::cpu_time()) include the boundaries already passed.
+//
+// Tie rule. Every virtual boundary of a charge, and the charge's end,
+// carries the sequence number of the event that planned the charge; a
+// cut-back charge event is re-keyed under it (Simulation::schedule_at_seq).
+// So an event firing at exactly a boundary sees that boundary as passed iff
+// its own tie-break key is larger (Simulation::firing_seq). For the first
+// boundary this is the per-quantum order exactly. For a later boundary j,
+// or the end of a charge that spans boundaries, the per-quantum model keyed
+// its event at the boundary before instead, so the two differ only for an
+// event scheduled between the charge's start and that earlier boundary
+// which lands exactly on j: here it fires after j, there before.
 #pragma once
 
 #include <cstdint>
@@ -140,13 +168,18 @@ class Transputer {
     return busy_tracker_.busy_time(sim_.now());
   }
   [[nodiscard]] std::uint64_t context_switches() const { return context_switches_; }
-  [[nodiscard]] std::uint64_t quantum_expiries() const { return quantum_expiries_; }
+  /// Includes the virtual boundaries the in-flight charge has passed.
+  [[nodiscard]] std::uint64_t quantum_expiries() const {
+    return quantum_expiries_ + boundaries_passed();
+  }
   [[nodiscard]] std::uint64_t high_preemptions() const { return high_preemptions_; }
   [[nodiscard]] std::uint64_t high_items() const { return high_items_; }
   [[nodiscard]] std::uint64_t service_items() const { return service_items_; }
   [[nodiscard]] sim::SimTime service_time() const { return service_time_done_; }
 
  private:
+  friend class Process;  // Process::cpu_time() reads the in-flight credit
+
   enum class ChargeKind : std::uint8_t {
     kNone,
     kContext,
@@ -177,7 +210,31 @@ class Transputer {
   void continue_low();
   /// Schedules the end-of-charge event.
   void plan_charge(ChargeKind kind, sim::SimTime amount);
+  /// Plans the op charge of current_: the whole remaining cost when the
+  /// CPU is lone, else up to the end of the quantum.
+  void plan_op_charge(Process& p);
   void on_charge_done();
+  /// True when nothing but current_ could use the CPU.
+  [[nodiscard]] bool lone() const {
+    return low_queue_.empty() && high_queue_.empty() &&
+           service_queue_.empty() && !crashed_;
+  }
+  /// Time of virtual boundary k of the in-flight op charge.
+  [[nodiscard]] sim::SimTime boundary(std::uint64_t k) const;
+  /// Virtual quantum boundaries of the in-flight op charge that lie
+  /// strictly before its end.
+  [[nodiscard]] std::uint64_t inner_boundaries() const;
+  /// Inner boundaries already passed at now (tie rule in the file comment).
+  [[nodiscard]] std::uint64_t boundaries_passed() const;
+  /// CPU time of the passed boundaries not yet added to p.cpu_time_.
+  [[nodiscard]] sim::SimTime passed_cpu(const Process& p) const;
+  /// Applies the first `n` inner boundaries as the per-quantum model would
+  /// have: expiries, timeline records, CPU time, and the quantum reset. The
+  /// charge then starts at the last of them.
+  void credit_boundaries(Process& p, std::uint64_t n);
+  /// The CPU is no longer lone: pulls the end of an in-flight op charge in
+  /// to its next unpassed boundary.
+  void end_lone_run();
   /// Cancels an in-flight daemon charge, accounting the elapsed work.
   void interrupt_service();
   /// Applies `amount` of completed daemon CPU to the queue head(s),
@@ -224,10 +281,12 @@ class Transputer {
   bool service_turn_ = false;
   Process* current_ = nullptr;      // low process holding the CPU
   Process* last_ran_ = nullptr;     // for context-switch accounting
+  /// Quantum left at charge_started_ (the op charge's first boundary).
   sim::SimTime quantum_left_;
   HighWork current_high_;
 
   sim::EventId charge_event_ = sim::kNoEvent;
+  std::uint64_t charge_seq_ = 0;  // tie-break key of the charge's boundaries
   bool pump_scheduled_ = false;
   bool crashed_ = false;
   ChargeKind charge_kind_ = ChargeKind::kNone;

@@ -48,6 +48,12 @@ class Sampler {
     channels_.push_back(Channel{std::move(read), track, name});
   }
 
+  /// The instant being recorded, for channels whose value depends on time
+  /// (a utilization): read at the sample instant, not at the last event's
+  /// time, so the value does not depend on how many events the kernel
+  /// fires between ticks.
+  [[nodiscard]] sim::SimTime sample_time() const { return sample_time_; }
+
   [[nodiscard]] bool active() const {
     return (timeline_ != nullptr || stream_ != nullptr) &&
            interval_ > sim::SimTime::zero() && !channels_.empty();
@@ -89,6 +95,7 @@ class Sampler {
       stream_->begin(labels);
       stream_header_written_ = true;
     }
+    sample_time_ = at;
     scratch_.clear();
     for (const Channel& c : channels_) {
       const double v = c.read();
@@ -101,6 +108,7 @@ class Sampler {
   Timeline* timeline_ = nullptr;
   sim::SimTime interval_;
   sim::SimTime next_;
+  sim::SimTime sample_time_;
   std::vector<Channel> channels_;
   MetricsStreamWriter* stream_ = nullptr;
   const Timeline* stream_names_ = nullptr;

@@ -42,6 +42,19 @@ EventId EventQueue::schedule(SimTime at, Callback cb) {
   return make_id(index, slot.generation);
 }
 
+EventId EventQueue::schedule_at_seq(SimTime at, std::uint64_t seq,
+                                    Callback cb) {
+  assert(seq != 0 && seq <= scheduled_ && "sequence number never issued");
+  const std::uint32_t index = acquire_slot(std::move(cb));
+  Slot& slot = slots_[index];
+  ++scheduled_;
+  ++live_;
+  if (live_ > peak_live_) peak_live_ = live_;
+  heap_.push_back(Entry{at, seq, index, slot.generation});
+  sift_up(heap_.size() - 1);
+  return make_id(index, slot.generation);
+}
+
 std::size_t EventQueue::schedule_batch(SimTime at, std::span<Callback> cbs,
                                        EventId* ids) {
   const std::size_t k = cbs.size();
@@ -91,7 +104,20 @@ bool EventQueue::cancel(EventId id) {
   // before the destructor runs at return.
   Callback doomed = std::move(slot.callback);
   retire_slot(index);
+  // Its heap entry stays behind until it surfaces. A model that cancels
+  // far-future events (a CPU's whole-burst charge cut short) can leave
+  // more dead entries than live ones, deepening every sift; once the heap
+  // is mostly dead, sweep it.
+  if (heap_.size() > 2 * live_ + kCompactSlack) compact();
   return true;
+}
+
+void EventQueue::compact() {
+  std::erase_if(heap_, [this](const Entry& e) {
+    const Slot& slot = slots_[e.slot];
+    return !slot.live || slot.generation != e.generation;
+  });
+  heapify();
 }
 
 void EventQueue::retire_slot(std::uint32_t index) {
@@ -139,6 +165,7 @@ SimTime EventQueue::next_time() const {
 EventQueue::Fired EventQueue::pop_fifo_front() {
   const Entry e = now_fifo_[now_head_++];
   current_ = e.time;
+  current_seq_ = e.seq;
   Fired fired{e.time, make_id(e.slot, e.generation),
               std::move(slots_[e.slot].callback)};
   retire_slot(e.slot);
@@ -156,6 +183,7 @@ EventQueue::Fired EventQueue::pop() {
   const Entry top = heap_.front();
   pop_top();
   current_ = top.time;
+  current_seq_ = top.seq;
   Fired fired{top.time, make_id(top.slot, top.generation),
               std::move(slots_[top.slot].callback)};
   retire_slot(top.slot);
@@ -175,6 +203,7 @@ bool EventQueue::pop_if_at_most(SimTime limit, Fired& out) {
   const Entry top = heap_.front();
   pop_top();
   current_ = top.time;
+  current_seq_ = top.seq;
   out = Fired{top.time, make_id(top.slot, top.generation),
               std::move(slots_[top.slot].callback)};
   retire_slot(top.slot);

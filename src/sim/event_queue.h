@@ -29,7 +29,8 @@ inline constexpr EventId kNoEvent = 0;
 /// typical event never allocates. A handle encodes (slot, generation);
 /// cancel() destroys the callback and retires the slot immediately, leaving
 /// the heap entry to be skipped when it surfaces (the generation tag
-/// detects staleness even after the slot has been reused).
+/// detects staleness even after the slot has been reused). When dead
+/// entries outnumber live ones, cancel() sweeps them out in one pass.
 ///
 /// Same-instant fast lane: an event scheduled for exactly the time of the
 /// most recently popped event (a zero-delay cascade -- dispatch pumps,
@@ -53,6 +54,26 @@ class EventQueue {
   /// Schedules `cb` to fire at absolute time `at`. Returns a handle that can
   /// be passed to `cancel`.
   EventId schedule(SimTime at, Callback cb);
+
+  /// Schedules `cb` at `at` under an earlier-issued sequence number `seq`
+  /// (see last_seq()) instead of a fresh one: among events at `at` it fires
+  /// as if it had been scheduled when `seq` was issued. This lets a model
+  /// move a pending event (cancel, then re-key under the old number) without
+  /// changing its tie-break against everything else. Always a heap insert,
+  /// since an old key may precede entries in the same-instant lane.
+  EventId schedule_at_seq(SimTime at, std::uint64_t seq, Callback cb);
+
+  /// Highest sequence number issued so far (0 before the first schedule):
+  /// read right after schedule(), the key that event fires under.
+  [[nodiscard]] std::uint64_t last_seq() const { return scheduled_; }
+
+  /// Sequence number of the most recently popped event (0 before the
+  /// first pop), or UINT64_MAX after close_instant().
+  [[nodiscard]] std::uint64_t current_seq() const { return current_seq_; }
+  /// Declares every event up to the current instant fired (the caller ran
+  /// the clock past the last pop): current_seq() reads UINT64_MAX, which
+  /// orders after any key, until the next pop.
+  void close_instant() { current_seq_ = UINT64_MAX; }
 
   /// Bulk insert: schedules every callback in `cbs` (moving them out) to
   /// fire at the same instant `at`, in span order.
@@ -149,6 +170,14 @@ class EventQueue {
   /// handles and heap entries), and returns it to the free list.
   void retire_slot(std::uint32_t index);
 
+  /// Drops every cancelled entry from the heap and rebuilds it. Pop order is
+  /// unchanged: it depends only on the live entries' (time, seq) keys.
+  void compact();
+  /// Dead heap entries tolerated beyond the live count before cancel()
+  /// compacts (amortised O(1) per cancel: a sweep removes more entries
+  /// than are live).
+  static constexpr std::size_t kCompactSlack = 32;
+
   // Lazy deletion happens on the read path (next_time is const), so the
   // heap maintenance helpers are const over the mutable heap array.
   void drop_stale_top() const;
@@ -189,6 +218,7 @@ class EventQueue {
   /// Starts at zero: nothing can be scheduled before the epoch, so events
   /// scheduled at t=0 before the first pop ride the lane correctly.
   SimTime current_;
+  std::uint64_t current_seq_ = 0;  // key of the most recent pop
 };
 
 /// Accumulates callbacks destined for one instant so a fan-out site (gang

@@ -20,6 +20,12 @@ EventId Simulation::schedule_at(SimTime at, EventQueue::Callback cb) {
   return queue_.schedule(at, std::move(cb));
 }
 
+EventId Simulation::schedule_at_seq(SimTime at, std::uint64_t seq,
+                                   EventQueue::Callback cb) {
+  assert(at >= now_ && "scheduling into the past");
+  return queue_.schedule_at_seq(at, seq, std::move(cb));
+}
+
 std::size_t Simulation::schedule_batch(SimTime delay, EventBatch& batch) {
   assert(!delay.is_negative() && "negative delay");
   const std::size_t n = queue_.schedule_batch(now_ + delay, batch.callbacks());
@@ -49,6 +55,7 @@ std::uint64_t Simulation::run_until(SimTime until) {
     ++n;
   }
   if (until > now_) now_ = until;
+  queue_.close_instant();
   fired_ += n;
   return n;
 }

@@ -31,6 +31,24 @@ class Simulation {
   /// Schedules `cb` at absolute time `at` (>= now()).
   EventId schedule_at(SimTime at, EventQueue::Callback cb);
 
+  /// Schedules `cb` at `at` (>= now()) under the earlier-issued sequence
+  /// number `seq`: it ties against same-instant events as if scheduled when
+  /// `seq` was issued (EventQueue::schedule_at_seq).
+  EventId schedule_at_seq(SimTime at, std::uint64_t seq,
+                          EventQueue::Callback cb);
+
+  /// Highest sequence number issued so far: read right after schedule(),
+  /// the FIFO tie-break key that event fires under.
+  [[nodiscard]] std::uint64_t last_seq() const { return queue_.last_seq(); }
+
+  /// Tie-break key of the event now firing, so a model can tell whether a
+  /// pending key at the same instant orders before or after it. 0 before
+  /// the first event; after run_until() it is UINT64_MAX, because every
+  /// event at or before the clock has fired.
+  [[nodiscard]] std::uint64_t firing_seq() const {
+    return queue_.current_seq();
+  }
+
   /// Commits an accumulated fan-out: every callback in `batch` is scheduled
   /// at now()+delay through one EventQueue::schedule_batch bulk insert
   /// (FIFO-equivalent to scheduling them individually in add() order). The

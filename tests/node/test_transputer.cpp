@@ -83,7 +83,8 @@ TEST_F(TransputerTest, RoundRobinInterleavesEqualProcesses) {
   EXPECT_LT(exit_time(1), SimTime::milliseconds(7));
   EXPECT_GT(exit_time(2), SimTime::milliseconds(8));
   EXPECT_LT(exit_time(2), SimTime::milliseconds(9));
-  EXPECT_GE(cpu.quantum_expiries(), 2u);
+  // A's and B's first quanta expire; their second quanta end in Exit.
+  EXPECT_EQ(cpu.quantum_expiries(), 2u);
 }
 
 TEST_F(TransputerTest, LargerQuantumWinsMoreCpuShare) {
@@ -108,9 +109,103 @@ TEST_F(TransputerTest, AloneOnCpuQuantumRenewsWithoutRequeue) {
   cpu.make_ready(*p);
   sim.run();
   EXPECT_EQ(exit_time(1), kCtx + SimTime::milliseconds(10));
-  // No other process: expiries happen but only one context switch.
+  // No other process: expiries happen but only one context switch. Five
+  // quanta, the last of which ends in Exit.
   EXPECT_EQ(cpu.context_switches(), 1u);
-  EXPECT_GE(cpu.quantum_expiries(), 4u);
+  EXPECT_EQ(cpu.quantum_expiries(), 4u);
+}
+
+TEST_F(TransputerTest, LoneBurstIsOneChargeEvent) {
+  Program prog;
+  prog.compute(SimTime::milliseconds(10)).exit();
+  auto p = make_process(1, std::move(prog));
+  cpu.make_ready(*p);
+  sim.run_until(kCtx);  // dispatch pump and context switch; burst planned
+  const std::uint64_t before = sim.fired_events();
+  sim.run();
+  // The five quanta are one charge event; their expiries are still counted.
+  EXPECT_EQ(sim.fired_events() - before, 1u);
+  EXPECT_EQ(exit_time(1), kCtx + SimTime::milliseconds(10));
+  EXPECT_EQ(cpu.quantum_expiries(), 4u);
+  EXPECT_EQ(p->cpu_time(), SimTime::milliseconds(10));
+}
+
+TEST_F(TransputerTest, MidBurstReadersSeePassedBoundaries) {
+  // A lone 10 ms burst from kCtx with 2 ms quanta: boundaries at
+  // kCtx + 2, 4, 6, 8 ms. Readers see the quanta completed so far, as a CPU
+  // firing one event per quantum would report them.
+  Program prog;
+  prog.compute(SimTime::milliseconds(10)).exit();
+  auto p = make_process(1, std::move(prog));
+  cpu.make_ready(*p);
+  struct Reading {
+    std::uint64_t expiries;
+    SimTime cpu;
+  };
+  std::vector<Reading> got;
+  const auto ms = [](std::int64_t n) { return SimTime::milliseconds(n); };
+  const std::vector<SimTime> at = {
+      ms(1),                                // inside the first quantum
+      kCtx + ms(2),                         // on b_0, scheduled before it
+      ms(3),                                // one quantum done
+      kCtx + ms(4) + SimTime::nanoseconds(1),
+      ms(9),                                // four quanta done
+  };
+  for (const SimTime t : at) {
+    sim.schedule_at(t, [&] { got.push_back({cpu.quantum_expiries(), p->cpu_time()}); });
+  }
+  sim.run();
+  ASSERT_EQ(got.size(), 5u);
+  EXPECT_EQ(got[0].expiries, 0u);
+  EXPECT_EQ(got[0].cpu, SimTime::zero());
+  // Keyed before the charge, this reader fires ahead of the boundary.
+  EXPECT_EQ(got[1].expiries, 0u);
+  EXPECT_EQ(got[1].cpu, SimTime::zero());
+  EXPECT_EQ(got[2].expiries, 1u);
+  EXPECT_EQ(got[2].cpu, ms(2));
+  EXPECT_EQ(got[3].expiries, 2u);
+  EXPECT_EQ(got[3].cpu, ms(4));
+  EXPECT_EQ(got[4].expiries, 4u);
+  EXPECT_EQ(got[4].cpu, ms(8));
+  EXPECT_EQ(p->cpu_time(), ms(10));
+}
+
+TEST_F(TransputerTest, ReadersAfterRunUntilABoundaryCountIt) {
+  // run_until(t) fires every event at t, so a boundary at exactly t has
+  // passed when the caller reads.
+  Program prog;
+  prog.compute(SimTime::milliseconds(10)).exit();
+  auto p = make_process(1, std::move(prog));
+  cpu.make_ready(*p);
+  sim.run_until(kCtx + SimTime::milliseconds(4));
+  EXPECT_EQ(cpu.quantum_expiries(), 2u);
+  EXPECT_EQ(p->cpu_time(), SimTime::milliseconds(4));
+  EXPECT_TRUE(cpu.busy());
+  // An interrupt now finds the process exactly at a quantum start.
+  cpu.post_high(SimTime::microseconds(100), [] {});
+  sim.run();
+  EXPECT_EQ(exit_time(1), kCtx + SimTime::milliseconds(10) +
+                              SimTime::microseconds(100));
+  EXPECT_EQ(p->preemptions(), 1u);
+  EXPECT_EQ(p->cpu_time(), SimTime::milliseconds(10));
+}
+
+TEST(ProcessDeathTest, SetQuantumOnRunningProcessAsserts) {
+#ifndef NDEBUG
+  sim::Simulation sim;
+  mem::Mmu mmu(sim, 1024);
+  Transputer cpu(sim, 0, mmu);
+  Program prog;
+  prog.compute(SimTime::milliseconds(10)).exit();
+  Process p(1, 1, std::move(prog));
+  p.bind_to_node(0);
+  cpu.make_ready(p);
+  sim.run_until(SimTime::milliseconds(1));
+  ASSERT_EQ(p.state(), ProcessState::kRunning);
+  EXPECT_DEATH(p.set_quantum(SimTime::milliseconds(1)), "running process");
+#else
+  GTEST_SKIP() << "assertions are compiled out in this build";
+#endif
 }
 
 TEST_F(TransputerTest, HighPriorityWorkPreemptsImmediately) {

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "core/experiment.h"
+#include "core/machine.h"
 #include "obs/hub.h"
 
 namespace tmc::core {
@@ -113,6 +114,56 @@ TEST(MachineObs, WormholeRunRegistersPoolMetrics) {
   const auto views = hub.registry().snapshot();
   EXPECT_TRUE(has_metric(views, "net.worm_peak"));
   EXPECT_TRUE(has_metric(views, "net.worm_pool_capacity"));
+}
+
+TEST(MachineObs, CpuProbeAndJobCpuTimeAreExactMidBurst) {
+  // One process alone on node 0 computes 20 ms: its ten 2 ms quanta are one
+  // charge event, yet the node0.cpu.quantum_expiries probe and the job's
+  // CPU time, read every 500 us through the burst, count the quanta
+  // completed so far -- what a CPU firing one event per quantum reports.
+  obs::Options options;
+  options.metrics = true;
+  obs::Hub hub(options);
+  MachineConfig cfg;
+  cfg.policy.kind = sched::PolicyKind::kStatic;
+  cfg.policy.partition_size = 1;
+  cfg.obs = &hub;
+  Multicomputer machine(cfg);
+  const sim::SimTime quantum = sim::SimTime::milliseconds(2);
+  sched::JobSpec spec;
+  spec.builder = [](const sched::Job&, int) {
+    std::vector<node::Program> programs(1);
+    programs[0].compute(sim::SimTime::milliseconds(20)).exit();
+    return programs;
+  };
+  sched::Job job(1, std::move(spec));
+  machine.submit(job);
+  const auto probe = [&hub] {
+    for (const auto& v : hub.registry().snapshot()) {
+      if (v.name == "node0.cpu.quantum_expiries") return v.value;
+    }
+    ADD_FAILURE() << "no node0.cpu.quantum_expiries probe";
+    return -1.0;
+  };
+  double last = 0.0;
+  bool saw_mid_burst_expiry = false;
+  for (int step = 1; step <= 44; ++step) {
+    machine.sim().run_until(sim::SimTime::microseconds(500) * step);
+    if (job.processes().empty()) break;  // exited and torn down
+    const sim::SimTime cpu = job.total_cpu_time();
+    const double expiries = probe();
+    // Lone quanta are whole: CPU time is a multiple of the quantum, one
+    // expiry per completed quantum.
+    EXPECT_EQ(cpu.ns() % quantum.ns(), 0) << "step " << step;
+    EXPECT_EQ(expiries, static_cast<double>(cpu.ns() / quantum.ns()))
+        << "step " << step;
+    EXPECT_GE(expiries, last);
+    last = expiries;
+    saw_mid_burst_expiry |= expiries > 0.0 && machine.cpu(0).busy();
+  }
+  EXPECT_TRUE(saw_mid_burst_expiry);
+  machine.run_to_completion();
+  EXPECT_EQ(machine.cpu(0).quantum_expiries(), 9u);  // the 10th ends in Exit
 }
 
 TEST(MachineObs, TimelineHasPerComponentTracksAndRecords) {

@@ -234,6 +234,57 @@ TEST(EventQueueModel, RandomizedDifferential) {
   }
 }
 
+// Most events are cancelled long before their time -- the shape of a CPU
+// cutting whole-burst charges short -- so dead heap entries outnumber live
+// ones and cancel() sweeps them out. Pops must not notice.
+TEST(EventQueueModel, CancelHeavyStreamSweepsWithoutReordering) {
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    std::mt19937_64 rng(seed);
+    EventQueue queue;
+    ReferenceQueue reference;
+    std::vector<std::pair<EventId, std::uint64_t>> handles;
+    int fired = -1;
+    int next = 0;
+    SimTime clock;
+    const auto pop_one = [&] {
+      const ReferenceQueue::Popped expected = reference.pop();
+      EventQueue::Fired got = queue.pop();
+      ASSERT_EQ(got.time, expected.time);
+      got.callback();
+      ASSERT_EQ(fired, expected.payload);
+      clock = got.time;
+    };
+    for (int round = 0; round < 300; ++round) {
+      for (int i = 0; i < 20; ++i) {
+        const SimTime at =
+            clock + ns(std::uniform_int_distribution<std::int64_t>(
+                           0, 1'000'000)(rng));
+        const int payload = next++;
+        handles.emplace_back(
+            queue.schedule(at, [&fired, payload] { fired = payload; }),
+            reference.schedule(at, payload));
+      }
+      for (int i = 0; i < 19 && !handles.empty(); ++i) {
+        const std::size_t idx = std::uniform_int_distribution<std::size_t>(
+            0, handles.size() - 1)(rng);
+        EXPECT_EQ(queue.cancel(handles[idx].first),
+                  reference.cancel(handles[idx].second));
+        handles[idx] = handles.back();
+        handles.pop_back();
+      }
+      ASSERT_EQ(queue.size(), reference.size());
+      if (!reference.empty()) pop_one();
+      if (HasFatalFailure()) return;
+    }
+    while (!reference.empty()) {
+      pop_one();
+      if (HasFatalFailure()) return;
+    }
+    EXPECT_TRUE(queue.empty());
+  }
+}
+
 // A heavier mix of same-instant scheduling: every seed here spends most of
 // its schedules on exact clock ties, keeping the FIFO lane continuously hot
 // while pops interleave lane and heap fronts.

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <vector>
 
 namespace tmc::sim {
@@ -124,6 +125,44 @@ TEST(Simulation, DeterministicInterleavingAtSameTimestamp) {
     return order;
   };
   EXPECT_EQ(run_once(), run_once());
+}
+
+TEST(Simulation, ScheduleAtSeqTiesAsIfScheduledEarlier) {
+  // An event re-keyed under an old sequence number fires ahead of
+  // same-instant events scheduled after that number was issued -- including
+  // zero-delay events in the same-instant lane -- and behind older ones.
+  Simulation sim;
+  std::vector<int> order;
+  sim.schedule_at(SimTime::seconds(2), [&] { order.push_back(0); });
+  sim.schedule_at(SimTime::seconds(1), [&] { order.push_back(-1); });
+  const std::uint64_t key = sim.last_seq();
+  sim.schedule_at(SimTime::seconds(2), [&] { order.push_back(2); });
+  sim.schedule_at(SimTime::seconds(2), [&] {
+    order.push_back(3);
+    sim.schedule(SimTime::zero(), [&] { order.push_back(4); });
+    // Moved to now under the old key: ahead of the lane entry just added.
+    sim.schedule_at_seq(sim.now(), key, [&] { order.push_back(1); });
+  });
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{-1, 0, 2, 3, 1, 4}));
+}
+
+TEST(Simulation, FiringSeqIdentifiesTheCurrentEvent) {
+  Simulation sim;
+  EXPECT_EQ(sim.firing_seq(), 0u);
+  std::vector<std::uint64_t> keys;
+  std::vector<std::uint64_t> seen;
+  for (int i = 0; i < 3; ++i) {
+    sim.schedule(SimTime::seconds(1), [&] { seen.push_back(sim.firing_seq()); });
+    keys.push_back(sim.last_seq());
+  }
+  sim.step();
+  EXPECT_EQ(sim.firing_seq(), keys[0]);
+  sim.run();
+  EXPECT_EQ(seen, keys);
+  // After run_until every event at or before the clock has fired.
+  sim.run_until(SimTime::seconds(5));
+  EXPECT_EQ(sim.firing_seq(), UINT64_MAX);
 }
 
 }  // namespace

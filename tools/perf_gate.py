@@ -37,8 +37,9 @@ fails if the instrumented-but-disabled side falls more than --pair-tolerance
 below its baseline side.
 
 The scaling study (bench/fig_scaling) emits the same JSON shape with
-items_per_second = simulator events/sec, so it is gated with the same
-machinery against its own record:
+items_per_second = simulated jobs completed per wall second (events/sec is
+a counter there: eliding events lowers it even as runs get faster), so it
+is gated with the same machinery against its own record:
 
     ./build/bench/fig_scaling --sizes 64,256 --json scaling.json
     python3 tools/perf_gate.py scaling.json --baseline BENCH_scaling.json \\
