@@ -1,16 +1,21 @@
-// Observability demo: watch the machine run two small jobs three ways.
+// Observability demo: watch the machine run two small jobs through the obs
+// hub.
 //
-// 1. Legacy line trace -- CPU dispatches, process exits, network sends and
-//    parking, memory blocking -- printed to stdout, handy when debugging
-//    policies or workloads.
-// 2. Metrics registry -- every instrument family (kernel self-profile,
+// 1. Metrics registry -- every instrument family (kernel self-profile,
 //    per-node CPU/memory, links, partitions, comm) dumped as JSON.
-// 3. Timeline -- per-node CPU spans, sampled queue depths, and the same
-//    trace lines as instant annotations, exported as Chrome trace_event
-//    JSON. Open trace_demo_timeline.json in Perfetto (ui.perfetto.dev) or
-//    chrome://tracing to browse the run visually.
+// 2. Timeline -- per-node CPU spans (compute, context switches), process
+//    exits and memory waits as instants, message sends as flow arrows,
+//    parked messages, per-job lifecycle spans and sampled queue depths,
+//    exported as Chrome trace_event JSON. Open trace_demo_timeline.json in
+//    Perfetto (ui.perfetto.dev) or chrome://tracing to browse the run.
+//
+// The nodes get too little memory for both jobs at once, so the run shows
+// memory blocking -- the paper's multiprogramming overhead -- as "mem-wait"
+// instants. Run from any directory; both files land in the current one.
 
 #include <iostream>
+#include <map>
+#include <string_view>
 
 #include "core/machine.h"
 #include "obs/hub.h"
@@ -29,18 +34,11 @@ int main() {
   core::MachineConfig cfg;
   cfg.processors = 4;
   cfg.topology = net::TopologyKind::kRing;
+  cfg.memory_per_node = std::size_t{88} << 10;
   cfg.policy.kind = sched::PolicyKind::kTimeSharing;
   cfg.policy.basic_quantum = sim::SimTime::milliseconds(20);
   cfg.obs = &hub;
   core::Multicomputer machine(cfg);
-
-  int lines = 0;
-  machine.enable_tracing(
-      static_cast<unsigned>(sim::TraceCategory::kAll),
-      [&lines](std::string_view line) {
-        if (lines < 60) std::cout << line << "\n";
-        if (++lines == 60) std::cout << "... (trace truncated)\n";
-      });
 
   workload::MatMulParams mm;
   mm.n = 24;
@@ -51,14 +49,24 @@ int main() {
   machine.submit(b);
   machine.run_to_completion();
 
-  std::cout << "\njob 1 response: " << a.response_time().to_seconds()
+  std::cout << "job 1 response: " << a.response_time().to_seconds()
             << " s, job 2 response: " << b.response_time().to_seconds()
-            << " s, " << lines << " trace events\n";
+            << " s\n\ntimeline records by name:\n";
+  const obs::Timeline& timeline = *hub.timeline();
+  std::map<std::string_view, int> by_name;
+  for (const obs::TimelineRecord& r : timeline.records()) {
+    ++by_name[timeline.name(r.name)];
+  }
+  for (const auto& [name, count] : by_name) {
+    std::cout << "  " << name << " " << count << "\n";
+  }
 
   // A few headline numbers straight from the registry, then the full dumps.
+  std::cout << "\n";
   for (const auto& view : hub.registry().snapshot()) {
     if (view.name == "kernel.events_fired" ||
         view.name == "node0.cpu.utilization" ||
+        view.name == "node0.mem.alloc_waits" ||
         view.name == "comm.sends") {
       std::cout << view.name << " = " << view.value << "\n";
     }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "obs/metrics.h"
@@ -30,6 +31,12 @@ Mmu::Mmu(sim::Simulation& sim, std::size_t capacity, sim::SimTime service_time,
   free_.reserve(32);
   grants_.reserve(16);
   free_.push_back(FreeRange{0, capacity});
+}
+
+void Mmu::set_timeline(obs::Timeline* timeline, obs::TrackId track) {
+  timeline_ = timeline;
+  track_ = track;
+  if (timeline_ != nullptr) name_wait_ = timeline_->intern("mem-wait");
 }
 
 std::optional<std::size_t> Mmu::carve(std::size_t bytes) {
@@ -147,10 +154,9 @@ void Mmu::request(std::size_t bytes, Grant on_grant, const void* owner) {
   }
   ++blocked_count_;
   obs::bump(alloc_waits_);
-  if (tracer_ != nullptr) {
-    TMC_TRACE(*tracer_, sim_.now(), sim::TraceCategory::kMemory, label_,
-              "blocked request " << bytes << "B (free " << bytes_free()
-                                 << "B, queued " << queue_.size() + 1 << ")");
+  if (timeline_ != nullptr) {
+    timeline_->instant(track_, name_wait_, sim_.now(),
+                       static_cast<double>(bytes));
   }
   queue_.push_back(Pending{bytes, std::move(on_grant), sim_.now(), owner});
 }

@@ -39,19 +39,9 @@ StoreForwardNetwork::StoreForwardNetwork(sim::Simulation& sim,
 }
 
 void StoreForwardNetwork::send(Message msg, mem::Block payload) {
-  // Fault-mode resends carry no staged source buffer (the staging copy is
-  // not re-modelled on retransmit); reliable runs always provide one.
-  assert((payload.valid() || fault_ != nullptr) &&
-         "sender must provide the source buffer");
   if (drop_at_injection(msg)) return;
   ++messages_;
   payload_bytes_ += msg.bytes;
-  if (tracer_ != nullptr) {
-    TMC_TRACE(*tracer_, sim_.now(), sim::TraceCategory::kNetwork, "net",
-              "send m" << msg.id << " " << msg.src_node << "->"
-                       << msg.dst_node << " " << msg.bytes << "B tag "
-                       << msg.tag);
-  }
   const std::size_t pkt = params_.packet_bytes;
   if (msg.src_node == msg.dst_node || pkt == 0 || msg.bytes <= pkt) {
     forward(msg, msg.src_node, std::move(payload), msg.bytes, nullptr);
@@ -99,11 +89,6 @@ void StoreForwardNetwork::forward(Message msg, NodeId at, mem::Block held,
   if (!may_progress(msg)) {
     // The owning job is descheduled: its daemons are not running, so the
     // message waits here, pinning its buffer at this node, until kick().
-    if (tracer_ != nullptr) {
-      TMC_TRACE(*tracer_, sim_.now(), sim::TraceCategory::kNetwork, "net",
-                "park m" << msg.id << " at node " << at << " (job "
-                         << msg.job << " descheduled)");
-    }
     record_park(sim_.now(), msg);
     parked_.push_back(Parked{msg, at, std::move(held), fragment_bytes,
                              std::move(source_hold)});
@@ -252,7 +237,6 @@ void WormholeNetwork::release_worm(std::uint32_t index) {
 }
 
 void WormholeNetwork::send(Message msg, mem::Block payload) {
-  assert(payload.valid() || fault_ != nullptr);
   if (drop_at_injection(msg)) return;
   ++messages_;
   payload_bytes_ += msg.bytes;

@@ -31,7 +31,6 @@
 #include "obs/metrics.h"
 #include "obs/timeline.h"
 #include "sim/simulation.h"
-#include "sim/trace.h"
 
 namespace tmc::net {
 
@@ -95,9 +94,6 @@ class Network {
   }
   void set_hop_hook(HopHook hook) { hop_hook_ = std::move(hook); }
   void set_progress_gate(ProgressGate gate) { gate_ = std::move(gate); }
-  /// Optional trace sink (category kNetwork); owner must outlive us.
-  void set_tracer(const sim::Tracer* tracer) { tracer_ = tracer; }
-
   /// Optional timeline recorder (null = off): every link occupancy becomes
   /// a span on track `link_track_base + link_id`; message parks (gang gate
   /// closed) become instants on `net_track`.
@@ -134,7 +130,10 @@ class Network {
 
   /// Injects a message. `payload` is the buffer already allocated at the
   /// source node by the sender (self-sends are delivered from this buffer,
-  /// passing through the same buffered-mailbox path as remote sends).
+  /// passing through the same buffered-mailbox path as remote sends). It is
+  /// empty for messages the comm layer originates itself -- fault resends
+  /// and handler-injected control replies -- whose bytes ride as accounting
+  /// only; program sends always stage one (checked in node::CommSystem).
   virtual void send(Message msg, mem::Block payload) = 0;
 
   /// Per-link accessors (both engines own one Link per directed edge).
@@ -183,7 +182,6 @@ class Network {
   DeliveryHandler deliver_;
   HopHook hop_hook_;
   ProgressGate gate_;
-  const sim::Tracer* tracer_ = nullptr;
   obs::Timeline* timeline_ = nullptr;
   obs::TrackId link_base_ = 0;
   obs::TrackId net_track_ = 0;

@@ -31,6 +31,8 @@ CommSystem::CommSystem(sim::Simulation& sim, net::Network& network,
   for (Transputer* cpu : cpus_) {
     cpu->set_send_dispatcher(
         [this](Process& src, const SendOp& op, mem::Block payload) {
+          assert(payload.valid() &&
+                 "program sends carry the buffer staged by the CPU");
           send_from(src, op, std::move(payload));
         });
   }

@@ -14,10 +14,10 @@
 // ControlOp actions, exits and high-priority/daemon work completions, the
 // counter readings taken at each injection, the final per-process and
 // per-CPU accounting, and the CPU's timeline track record for record --
-// every charge span (so every op's completion time) and quantum-expiry
-// instant, including those the coalesced CPU emits arithmetically. Constructed ties then put each interrupt kind
-// exactly on a virtual boundary, and pin the one documented divergence of
-// the tie rule.
+// every charge span (so every op's completion time), quantum-expiry and
+// exit instant, including those the coalesced CPU emits arithmetically.
+// Constructed ties then put each interrupt kind exactly on a virtual
+// boundary, and pin the one documented divergence of the tie rule.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -301,6 +301,8 @@ class ReferenceCpu {
       current_ = nullptr;
       last_ran_ = nullptr;
       log_.push_back({sim_.now(), "exit", p.id, 0});
+      trace_.push_back({"exit", sim_.now().ns(), -1,
+                        static_cast<double>(p.id)});
       dispatch();
       return;
     }

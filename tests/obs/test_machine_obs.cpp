@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/experiment.h"
@@ -28,6 +29,10 @@ ExperimentConfig tiny_config() {
   config.batch.large_size = 32;
   return config;
 }
+
+/// Node memory small enough that tiny_config()'s multiprogrammed batch
+/// blocks in the MMUs, yet large enough for every job to finish.
+constexpr std::size_t kBlockingMemory = std::size_t{108} << 10;
 
 obs::Options full_options() {
   obs::Options options;
@@ -255,25 +260,62 @@ TEST(MachineObs, NoJobTrackerWithoutTimeline) {
   EXPECT_EQ(hub.timeline(), nullptr);
 }
 
-TEST(MachineObs, TraceLinesLandOnTimelineAsAnnotations) {
+TEST(MachineObs, MemWaitAndExitInstantsMatchTheirCounters) {
+  // A multiprogrammed batch on nodes with too little memory for every
+  // resident job: each request that blocks in an MMU is one "mem-wait"
+  // instant on its node's track, and each process leaves one "exit" instant
+  // carrying its endpoint id.
   obs::Hub hub(full_options());
   auto config = tiny_config();
+  config.machine.memory_per_node = kBlockingMemory;
   config.machine.obs = &hub;
 
   Multicomputer machine(config.machine);
   auto specs = workload::make_batch(config.batch,
                                     workload::BatchOrder::kInterleaved);
+  std::size_t processes = 0;
   std::vector<std::unique_ptr<sched::Job>> jobs;
   sched::JobId next_id = 1;
   for (auto& spec : specs) {
+    spec.builder = [inner = std::move(spec.builder), &processes](
+                       const sched::Job& job, int partition_size) {
+      auto programs = inner(job, partition_size);
+      processes += programs.size();
+      return programs;
+    };
     jobs.push_back(std::make_unique<sched::Job>(next_id++, std::move(spec)));
   }
-  machine.enable_tracing(static_cast<unsigned>(sim::TraceCategory::kCpu),
-                         [](std::string_view) {});
   for (auto& job : jobs) machine.submit(*job);
   machine.run_to_completion();
 
-  EXPECT_FALSE(hub.timeline()->annotations().empty());
+  const obs::Timeline& tl = *hub.timeline();
+  std::uint64_t mem_waits = 0;
+  std::vector<net::EndpointId> exits;
+  for (const obs::TimelineRecord& r : tl.records()) {
+    if (r.kind != obs::RecordKind::kInstant) continue;
+    const std::string_view name = tl.name(r.name);
+    if (name == "mem-wait") {
+      ++mem_waits;
+      EXPECT_EQ(tl.tracks()[r.track].kind, obs::TrackKind::kNode);
+      EXPECT_GT(r.value, 0.0);  // the requested bytes
+    } else if (name == "exit") {
+      EXPECT_EQ(tl.tracks()[r.track].kind, obs::TrackKind::kNode);
+      exits.push_back(static_cast<net::EndpointId>(r.value));
+    }
+  }
+
+  double alloc_waits = 0.0;
+  for (const auto& view : hub.registry().snapshot()) {
+    if (view.name.ends_with(".mem.alloc_waits")) alloc_waits += view.value;
+  }
+  EXPECT_GT(mem_waits, 0u) << "the batch must block on memory";
+  EXPECT_EQ(static_cast<double>(mem_waits), alloc_waits);
+  EXPECT_EQ(mem_waits, machine.stats().mem_blocked_requests);
+
+  ASSERT_EQ(exits.size(), processes);
+  std::sort(exits.begin(), exits.end());
+  EXPECT_EQ(std::adjacent_find(exits.begin(), exits.end()), exits.end())
+      << "a process exited twice";
 }
 
 TEST(MachineObs, SecondaryRunsDetachFromTheHub) {
