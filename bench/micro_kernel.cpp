@@ -245,9 +245,10 @@ BENCHMARK(BM_MmuFragmentedAlloc);
 void BM_TransputerLoneBurst(benchmark::State& state) {
   // One process alone on a CPU computing 100 ms under the 2 ms hardware
   // quantum: the CPU model charges it as one event (the 49 quantum expiries
-  // inside are credited arithmetically), so a burst costs a dispatch pump,
-  // a context switch and one charge. items = bursts; the events_per_burst
-  // counter pins the event count.
+  // inside are credited arithmetically), and the context switch into it is
+  // fused with that charge, so a burst costs a dispatch pump and one
+  // charge. items = bursts; the events_per_burst counter pins the event
+  // count.
   std::uint64_t events = 0;
   for (auto _ : state) {
     sim::Simulation sim;
@@ -266,6 +267,39 @@ void BM_TransputerLoneBurst(benchmark::State& state) {
       static_cast<double>(events) / static_cast<double>(state.iterations());
 }
 BENCHMARK(BM_TransputerLoneBurst);
+
+void BM_TransputerTimeShared(benchmark::State& state) {
+  // Two compute-bound processes time-share one CPU for 100 ms each under
+  // the 2 ms quantum: 100 quanta, each entered by a context switch. The
+  // switch is fused with the quantum's charge (one event, the switch a
+  // prefix of it), so a quantum costs one event where a separate switch
+  // event made it two. items = quanta; the events_per_quantum counter pins
+  // the event count.
+  constexpr std::int64_t kQuanta = 100;
+  std::uint64_t events = 0;
+  for (auto _ : state) {
+    sim::Simulation sim;
+    mem::Mmu mmu(sim, 64 * 1024);
+    node::Transputer cpu(sim, 0, mmu);
+    node::Program a;
+    a.compute(sim::SimTime::milliseconds(100)).exit();
+    node::Program b;
+    b.compute(sim::SimTime::milliseconds(100)).exit();
+    node::Process pa(1, 1, std::move(a));
+    node::Process pb(2, 1, std::move(b));
+    pa.bind_to_node(0);
+    pb.bind_to_node(0);
+    cpu.make_ready(pa);
+    cpu.make_ready(pb);
+    events += sim.run();
+    benchmark::DoNotOptimize(cpu.context_switches());
+  }
+  state.SetItemsProcessed(state.iterations() * kQuanta);
+  state.counters["events_per_quantum"] =
+      static_cast<double>(events) /
+      static_cast<double>(state.iterations() * kQuanta);
+}
+BENCHMARK(BM_TransputerTimeShared);
 
 void BM_RoutingTableConstruction(benchmark::State& state) {
   const auto topo = net::Topology::hypercube(16);

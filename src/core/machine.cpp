@@ -417,7 +417,7 @@ std::uint64_t Multicomputer::run_to_completion() {
   // Step (rather than run_until) so the clock stops at the last event:
   // utilisations are then measured over the actual makespan, not the
   // watchdog horizon.
-  std::uint64_t fired = 0;
+  const std::uint64_t fired_before = sim_.fired_events();
   obs::Sampler* sampler =
       cfg_.obs != nullptr && cfg_.obs->sampler().active()
           ? &cfg_.obs->sampler()
@@ -440,11 +440,9 @@ std::uint64_t Multicomputer::run_to_completion() {
       if (fault_only_left()) break;
       sampler->advance_to(sim_.next_event_time());
       if (!sim_.step()) break;
-      ++fired;
     }
   } else {
     while (!fault_only_left() && sim_.step_until(cfg_.max_sim_time)) {
-      ++fired;
     }
   }
   if (cfg_.obs != nullptr) cfg_.obs->finish_run(sim_.now());
@@ -467,7 +465,7 @@ std::uint64_t Multicomputer::run_to_completion() {
     }
     throw std::runtime_error(detail);
   }
-  return fired;
+  return sim_.fired_events() - fired_before;
 }
 
 MachineStats Multicomputer::stats() {

@@ -66,7 +66,7 @@ void Transputer::make_ready(Process& p, sim::EventBatch* batch) {
   p.state_ = ProcessState::kReady;
   p.cpu_ = this;
   low_queue_.push_back(&p);
-  end_lone_run();
+  lone_changed();
   request_dispatch(batch);
 }
 
@@ -76,6 +76,7 @@ void Transputer::suspend(Process& p, sim::EventBatch* batch) {
     case ProcessState::kReady:
       low_queue_.erase_value(&p);
       p.state_ = ProcessState::kSuspended;
+      lone_changed();
       return;
     case ProcessState::kRunning: {
       Process& interrupted = interrupt_low_charge();
@@ -112,7 +113,7 @@ void Transputer::post_service(sim::SimTime cost,
                               sim::UniqueFunction<void()> done) {
   ++service_items_;
   service_queue_.push_back(ServiceWork{cost, std::move(done)});
-  end_lone_run();
+  lone_changed();
   request_dispatch();
 }
 
@@ -172,7 +173,17 @@ void Transputer::request_dispatch(sim::EventBatch* batch) {
 
 void Transputer::crash() {
   crashed_ = true;
-  end_lone_run();
+  if (in_switch()) {
+    // The per-quantum model would find the crash when the switch completes:
+    // the fused charge becomes that plain switch, under its own key.
+    sim_.stop_relay(charge_event_);
+    fused_ = false;
+    charge_kind_ = ChargeKind::kContext;
+    charge_started_ -= params_.context_switch;
+    charge_amount_ = params_.context_switch;
+    return;
+  }
+  lone_changed();
 }
 
 void Transputer::restore() {
@@ -192,6 +203,7 @@ void Transputer::force_exit(Process& p) {
     }
     case ProcessState::kReady:
       low_queue_.erase_value(&p);
+      lone_changed();
       break;
     case ProcessState::kBlockedMem:
       // Retract the staged-buffer / allocation request parked in the MMU so
@@ -252,7 +264,7 @@ void Transputer::dispatch() {
     if (last_ran_ != current_) {
       last_ran_ = current_;
       ++context_switches_;
-      plan_charge(ChargeKind::kContext, params_.context_switch);
+      plan_switch(*current_);
       return;
     }
   }
@@ -278,72 +290,48 @@ void Transputer::continue_low() {
     dispatch();
     return;
   }
-  assert(p.pc_ < p.program_.ops.size() && "script must end with ExitOp");
-  const Op& op = p.program_.ops[p.pc_];
-
-  if (const auto* compute = std::get_if<ComputeOp>(&op)) {
-    if (p.phase_ == Process::OpPhase::kInit) {
-      p.compute_remaining_ = compute->cost;
-      p.phase_ = Process::OpPhase::kCopy;
-    }
+  if (start_charge(p)) {
     plan_op_charge(p);
     return;
   }
+  const Op& op = p.program_.ops[p.pc_];
 
   if (const auto* send = std::get_if<SendOp>(&op)) {
-    if (p.phase_ == Process::OpPhase::kInit) {
-      // Stage the outgoing mailbox buffer from the local MMU; the process
-      // blocks if node memory is exhausted.
-      p.state_ = ProcessState::kBlockedMem;
-      current_ = nullptr;
-      const std::size_t bytes = std::max<std::size_t>(1, send->bytes);
-      mmu_.request(
-          bytes,
-          [this, &p, payload_bytes = send->bytes](mem::Block block) {
-            p.send_buffer_ = std::move(block);
-            p.phase_ = Process::OpPhase::kCopy;
-            p.compute_remaining_ =
-                params_.send_setup +
-                params_.copy_per_byte *
-                    static_cast<std::int64_t>(payload_bytes);
-            make_ready(p);
-          },
-          &p);
-      dispatch();
-      return;
-    }
-    plan_op_charge(p);
+    // Stage the outgoing mailbox buffer from the local MMU; the process
+    // blocks if node memory is exhausted.
+    p.state_ = ProcessState::kBlockedMem;
+    current_ = nullptr;
+    const std::size_t bytes = std::max<std::size_t>(1, send->bytes);
+    mmu_.request(
+        bytes,
+        [this, &p, payload_bytes = send->bytes](mem::Block block) {
+          p.send_buffer_ = std::move(block);
+          p.phase_ = Process::OpPhase::kCopy;
+          p.compute_remaining_ =
+              params_.send_setup +
+              params_.copy_per_byte * static_cast<std::int64_t>(payload_bytes);
+          make_ready(p);
+        },
+        &p);
+    dispatch();
     return;
   }
 
   if (const auto* recv = std::get_if<ReceiveOp>(&op)) {
-    if (p.phase_ == Process::OpPhase::kInit) {
-      auto delivered = p.mailbox().take(recv->tag);
-      if (!delivered) {
-        p.state_ = ProcessState::kBlockedRecv;
-        p.pending_recv_tag_ = recv->tag;
-        current_ = nullptr;
-        dispatch();
-        return;
-      }
-      p.phase_ = Process::OpPhase::kCopy;
-      p.compute_remaining_ =
-          params_.recv_setup +
-          params_.copy_per_byte *
-              static_cast<std::int64_t>(delivered->message.bytes);
-      p.staged_ = std::move(delivered);
+    auto delivered = p.mailbox().take(recv->tag);
+    if (!delivered) {
+      p.state_ = ProcessState::kBlockedRecv;
+      p.pending_recv_tag_ = recv->tag;
+      current_ = nullptr;
+      dispatch();
+      return;
     }
-    plan_op_charge(p);
-    return;
-  }
-
-  if (const auto* ctl = std::get_if<ControlOp>(&op)) {
-    // Charged like a compute burst (preemptible, spans quanta); the action
-    // itself runs in complete_op once the cost is fully paid.
-    if (p.phase_ == Process::OpPhase::kInit) {
-      p.compute_remaining_ = ctl->cost;
-      p.phase_ = Process::OpPhase::kCopy;
-    }
+    p.phase_ = Process::OpPhase::kCopy;
+    p.compute_remaining_ =
+        params_.recv_setup +
+        params_.copy_per_byte *
+            static_cast<std::int64_t>(delivered->message.bytes);
+    p.staged_ = std::move(delivered);
     plan_op_charge(p);
     return;
   }
@@ -388,10 +376,67 @@ void Transputer::plan_charge(ChargeKind kind, sim::SimTime amount) {
   charge_seq_ = sim_.last_seq();
 }
 
+bool Transputer::start_charge(Process& p) {
+  assert(p.pc_ < p.program_.ops.size() && "script must end with ExitOp");
+  if (p.phase_ == Process::OpPhase::kCopy) return true;
+  // Compute and ControlOp charges start straight away (a ControlOp's action
+  // runs in complete_op once its cost is fully paid).
+  const Op& op = p.program_.ops[p.pc_];
+  if (const auto* compute = std::get_if<ComputeOp>(&op)) {
+    p.compute_remaining_ = compute->cost;
+  } else if (const auto* ctl = std::get_if<ControlOp>(&op)) {
+    p.compute_remaining_ = ctl->cost;
+  } else {
+    return false;
+  }
+  p.phase_ = Process::OpPhase::kCopy;
+  return true;
+}
+
+void Transputer::plan_switch(Process& p) {
+  // start_charge readies the op's cost at the switch start instead of its
+  // end. Nothing reads it in between, and a switch interrupted in the
+  // prefix leaves the op started at its full cost, which the next dispatch
+  // charges exactly as a fresh start.
+  if (params_.context_switch.is_zero() || !start_charge(p)) {
+    plan_charge(ChargeKind::kContext, params_.context_switch);
+    return;
+  }
+  charge_kind_ = ChargeKind::kOp;
+  charge_started_ = sim_.now() + params_.context_switch;
+  charge_amount_ = op_charge(p);
+  fused_ = true;
+  set_busy(true);
+  charge_event_ = sim_.schedule_relay(params_.context_switch, charge_amount_,
+                                      [this] { on_charge_done(); });
+}
+
+sim::SimTime Transputer::op_charge(const Process& p) const {
+  return lone() ? p.compute_remaining_
+                : std::min(p.compute_remaining_, quantum_left_);
+}
+
 void Transputer::plan_op_charge(Process& p) {
-  plan_charge(ChargeKind::kOp, lone() ? p.compute_remaining_
-                                      : std::min(p.compute_remaining_,
-                                                 quantum_left_));
+  plan_charge(ChargeKind::kOp, op_charge(p));
+}
+
+bool Transputer::in_switch() const {
+  return fused_ && sim_.relay_pending(charge_event_);
+}
+
+std::uint64_t Transputer::op_key() const {
+  return fused_ ? sim_.relay_key(charge_event_) : charge_seq_;
+}
+
+void Transputer::close_switch() {
+  if (!fused_) return;
+  // The relay's second-stage key, while its event is pending (after it
+  // fired, nothing reads the key again).
+  charge_seq_ = sim_.relay_key(charge_event_);
+  fused_ = false;
+  record_charge(ChargeKind::kContext,
+                charge_started_ - params_.context_switch,
+                params_.context_switch, static_cast<double>(current_->id()));
 }
 
 sim::SimTime Transputer::boundary(std::uint64_t k) const {
@@ -417,7 +462,7 @@ std::uint64_t Transputer::boundaries_passed() const {
   const std::int64_t q = current_->quantum().ns();
   std::uint64_t n = static_cast<std::uint64_t>(past_first / q) + 1;
   // A boundary exactly at now is still ahead of an event keyed before it.
-  if (past_first % q == 0 && sim_.firing_seq() < charge_seq_) --n;
+  if (past_first % q == 0 && sim_.firing_seq() < op_key()) --n;
   return std::min(n, inner_boundaries());
 }
 
@@ -450,13 +495,21 @@ void Transputer::credit_boundaries(Process& p, std::uint64_t n) {
   service_turn_ = true;
 }
 
-void Transputer::end_lone_run() {
-  if (charge_kind_ != ChargeKind::kOp || charge_amount_ <= quantum_left_) {
+void Transputer::lone_changed() {
+  if (charge_kind_ != ChargeKind::kOp) return;
+  if (in_switch()) {
+    // The per-quantum model sizes the op charge when the switch completes.
+    charge_amount_ = op_charge(*current_);
+    sim_.retarget_relay(charge_event_, charge_amount_);
+    return;
+  }
+  if (charge_amount_ <= quantum_left_) {
     return;  // already ends at or before its first boundary
   }
   const std::uint64_t n = boundaries_passed();
   if (n >= inner_boundaries()) return;  // ends at or before that boundary
   const sim::SimTime at = boundary(n);
+  close_switch();
   const bool cancelled = sim_.cancel(charge_event_);
   assert(cancelled);
   (void)cancelled;
@@ -468,7 +521,10 @@ void Transputer::end_lone_run() {
 void Transputer::on_charge_done() {
   charge_event_ = sim::kNoEvent;
   const ChargeKind kind = charge_kind_;
-  if (kind == ChargeKind::kOp) credit_boundaries(*current_, inner_boundaries());
+  if (kind == ChargeKind::kOp) {
+    close_switch();
+    credit_boundaries(*current_, inner_boundaries());
+  }
   charge_kind_ = ChargeKind::kNone;
   const sim::SimTime amount = charge_amount_;
   if (timeline_ != nullptr) {
@@ -536,13 +592,21 @@ void Transputer::on_charge_done() {
 Process& Transputer::interrupt_low_charge() {
   assert(charge_kind_ == ChargeKind::kOp ||
          charge_kind_ == ChargeKind::kContext);
+  ChargeKind kind = charge_kind_;
+  Process& p = *current_;
+  if (in_switch()) {
+    // Interrupted inside a fused charge's prefix: that is the switch.
+    kind = ChargeKind::kContext;
+    charge_started_ -= params_.context_switch;
+    fused_ = false;
+  } else if (kind == ChargeKind::kOp) {
+    close_switch();
+    credit_boundaries(p, boundaries_passed());
+  }
   const bool cancelled = sim_.cancel(charge_event_);
   assert(cancelled);
   (void)cancelled;
   charge_event_ = sim::kNoEvent;
-  const ChargeKind kind = charge_kind_;
-  Process& p = *current_;
-  if (kind == ChargeKind::kOp) credit_boundaries(p, boundaries_passed());
   charge_kind_ = ChargeKind::kNone;
 
   ++p.preemptions_;

@@ -46,6 +46,25 @@
 // its event at the boundary before instead, so the two differ only for an
 // event scheduled between the charge's start and that earlier boundary
 // which lands exactly on j: here it fires after j, there before.
+//
+// Fused context switches. A switch into a process whose next step is a pure
+// continuation (a compute or ControlOp, or a send/receive already in its
+// copy phase) is not an event of its own: it is the prefix of that op's
+// charge, [op start - context_switch, op start). The charge is a kernel
+// relay (Simulation::schedule_relay): it takes its key at the switch start,
+// and when (op start, that key) reaches the front of the queue the kernel
+// issues the next sequence number and moves it to the charge's end -- the
+// key the switch's own event would have issued when it planned the op
+// charge, so every key in the run is the one-event-per-switch model's. The
+// prefix runs while the relay's first stage is pending: now < op start, or
+// now == op start for an event keyed below it. Inside it, post_high,
+// suspend and force_exit interrupt the switch (it is lost and paid again);
+// crash turns the charge back into the plain switch under its key
+// (Simulation::stop_relay); and make_ready, post_service and the removal of
+// a ready process re-size the op part, whose length depends on lone() at
+// the op start. Past the prefix it is an ordinary op charge keyed by the
+// relay's second key. Its ctx-switch span is written when the charge closes
+// or is cut back, just before its compute spans.
 #pragma once
 
 #include <cstdint>
@@ -205,11 +224,26 @@ class Transputer {
   /// Interprets ops of `current_` until a charge is planned, the process
   /// blocks, or it exits.
   void continue_low();
+  /// True when p's next step is a pure CPU charge -- a compute or ControlOp,
+  /// or a send/receive already in its copy phase -- whose cost is then
+  /// ready in compute_remaining_.
+  bool start_charge(Process& p);
+  /// Charges the context switch to p: fused with p's op charge when that is
+  /// a pure continuation, else as a charge of its own.
+  void plan_switch(Process& p);
   /// Schedules the end-of-charge event.
   void plan_charge(ChargeKind kind, sim::SimTime amount);
-  /// Plans the op charge of current_: the whole remaining cost when the
-  /// CPU is lone, else up to the end of the quantum.
+  /// Length of p's next op charge: the whole remaining cost when the CPU is
+  /// lone, else up to the end of the quantum.
+  [[nodiscard]] sim::SimTime op_charge(const Process& p) const;
   void plan_op_charge(Process& p);
+  /// True while a fused charge's context-switch prefix is running.
+  [[nodiscard]] bool in_switch() const;
+  /// Tie-break key of the in-flight op charge's boundaries and end.
+  [[nodiscard]] std::uint64_t op_key() const;
+  /// Past a fused charge's prefix: records the completed switch; the charge
+  /// is an ordinary op charge from here on.
+  void close_switch();
   void on_charge_done();
   /// True when nothing but current_ could use the CPU.
   [[nodiscard]] bool lone() const {
@@ -229,9 +263,10 @@ class Transputer {
   /// have: expiries, timeline records, CPU time, and the quantum reset. The
   /// charge then starts at the last of them.
   void credit_boundaries(Process& p, std::uint64_t n);
-  /// The CPU is no longer lone: pulls the end of an in-flight op charge in
-  /// to its next unpassed boundary.
-  void end_lone_run();
+  /// lone() may have changed. In a fused charge's prefix, re-sizes the op
+  /// part; otherwise a charge that is no longer lone is pulled in to its
+  /// next unpassed boundary.
+  void lone_changed();
   /// Cancels an in-flight daemon charge, accounting the elapsed work.
   void interrupt_service();
   /// Applies `amount` of completed daemon CPU to the queue head(s),
@@ -284,6 +319,9 @@ class Transputer {
 
   sim::EventId charge_event_ = sim::kNoEvent;
   std::uint64_t charge_seq_ = 0;  // tie-break key of the charge's boundaries
+  /// charge_event_ is a relay whose switch prefix is unrecorded; its op
+  /// part's key is then read from the kernel (op_key()).
+  bool fused_ = false;
   bool pump_scheduled_ = false;
   bool crashed_ = false;
   ChargeKind charge_kind_ = ChargeKind::kNone;

@@ -10,7 +10,7 @@ std::uint32_t EventQueue::acquire_slot(Callback cb) {
   std::uint32_t index;
   if (free_head_ != kFreeListEnd) {
     index = free_head_;
-    free_head_ = slots_[index].next_free;
+    free_head_ = static_cast<std::uint32_t>(slots_[index].link);
   } else {
     if (slots_.size() == slots_.capacity()) {
       // One queue serves a whole simulation and routinely holds thousands of
@@ -55,6 +55,60 @@ EventId EventQueue::schedule_at_seq(SimTime at, std::uint64_t seq,
   return make_id(index, slot.generation);
 }
 
+EventId EventQueue::schedule_relay(SimTime at, SimTime after, Callback cb) {
+  assert(!after.is_negative() && "relay into the past");
+  const std::uint32_t index = acquire_slot(std::move(cb));
+  Slot& slot = slots_[index];
+  slot.stage = Stage::kFirst;
+  slot.link = static_cast<std::uint64_t>(after.ns());
+  ++live_;
+  if (live_ > peak_live_) peak_live_ = live_;
+  const Entry entry{at, ++scheduled_, index, slot.generation};
+  // The key is the newest, so the lane stays sorted iff the time does.
+  if (relays_.empty() || relays_.back().time <= at) {
+    relays_.push_back(entry);
+  } else {
+    heap_.push_back(entry);
+    sift_up(heap_.size() - 1);
+  }
+  return make_id(index, slot.generation);
+}
+
+const EventQueue::Slot* EventQueue::find(EventId id) const {
+  const auto low = static_cast<std::uint32_t>(id & 0xffffffffu);
+  if (low == 0 || low > slots_.size()) return nullptr;  // kNoEvent/malformed
+  const Slot& slot = slots_[low - 1];
+  if (!slot.live || slot.generation != static_cast<std::uint32_t>(id >> 32)) {
+    return nullptr;  // fired/cancelled, or a stale handle to a reused slot
+  }
+  return &slot;
+}
+
+bool EventQueue::retarget_relay(EventId id, SimTime after) {
+  assert(!after.is_negative() && "relay into the past");
+  Slot* slot = find(id);
+  if (slot == nullptr || slot->stage != Stage::kFirst) return false;
+  slot->link = static_cast<std::uint64_t>(after.ns());
+  return true;
+}
+
+bool EventQueue::stop_relay(EventId id) {
+  Slot* slot = find(id);
+  if (slot == nullptr || slot->stage != Stage::kFirst) return false;
+  slot->stage = Stage::kPlain;
+  return true;
+}
+
+bool EventQueue::relay_pending(EventId id) const {
+  const Slot* slot = find(id);
+  return slot != nullptr && slot->stage == Stage::kFirst;
+}
+
+std::uint64_t EventQueue::relay_key(EventId id) const {
+  const Slot* slot = find(id);
+  return slot != nullptr && slot->stage == Stage::kSecond ? slot->link : 0;
+}
+
 std::size_t EventQueue::schedule_batch(SimTime at, std::span<Callback> cbs,
                                        EventId* ids) {
   const std::size_t k = cbs.size();
@@ -91,19 +145,13 @@ std::size_t EventQueue::schedule_batch(SimTime at, std::span<Callback> cbs,
 }
 
 bool EventQueue::cancel(EventId id) {
-  const auto low = static_cast<std::uint32_t>(id & 0xffffffffu);
-  if (low == 0) return false;  // kNoEvent or malformed
-  const std::uint32_t index = low - 1;
-  if (index >= slots_.size()) return false;
-  Slot& slot = slots_[index];
-  if (!slot.live || slot.generation != static_cast<std::uint32_t>(id >> 32)) {
-    return false;  // already fired/cancelled, or a stale handle to a reused slot
-  }
+  Slot* slot = find(id);
+  if (slot == nullptr) return false;
   // Destroying the callback can release resources whose teardown re-enters
   // schedule() (and may grow slots_); move it out and finish all bookkeeping
   // before the destructor runs at return.
-  Callback doomed = std::move(slot.callback);
-  retire_slot(index);
+  Callback doomed = std::move(slot->callback);
+  retire_slot(static_cast<std::uint32_t>(slot - slots_.data()));
   // Its heap entry stays behind until it surfaces. A model that cancels
   // far-future events (a CPU's whole-burst charge cut short) can leave
   // more dead entries than live ones, deepening every sift; once the heap
@@ -123,8 +171,9 @@ void EventQueue::compact() {
 void EventQueue::retire_slot(std::uint32_t index) {
   Slot& slot = slots_[index];
   slot.live = false;
+  slot.stage = Stage::kPlain;
   ++slot.generation;
-  slot.next_free = free_head_;
+  slot.link = free_head_;
   free_head_ = index;
   --live_;
 }
@@ -150,72 +199,95 @@ void EventQueue::drop_stale_fifo() const {
   now_head_ = 0;
 }
 
-SimTime EventQueue::next_time() const {
+const EventQueue::Entry* EventQueue::front(Lane& lane) const {
   drop_stale_top();
   drop_stale_fifo();
-  if (fifo_drained()) {
-    assert(!heap_.empty() && "next_time() on empty EventQueue");
-    return heap_.front().time;
+  const Entry* e = nullptr;
+  if (!fifo_drained() &&
+      (heap_.empty() || before(now_fifo_[now_head_], heap_.front()))) {
+    e = &now_fifo_[now_head_];
+    lane = Lane::kNow;
+  } else if (!heap_.empty()) {
+    e = &heap_.front();
+    lane = Lane::kHeap;
   }
-  const Entry& front = now_fifo_[now_head_];
-  if (heap_.empty() || before(front, heap_.front())) return front.time;
-  return heap_.front().time;
+  if (!relays_.empty()) {
+    drop_stale_relays();
+    if (!relays_.empty() && (e == nullptr || before(relays_.front(), *e))) {
+      e = &relays_.front();
+      lane = Lane::kRelay;
+    }
+  }
+  return e;
 }
 
-EventQueue::Fired EventQueue::pop_fifo_front() {
-  const Entry e = now_fifo_[now_head_++];
-  current_ = e.time;
-  current_seq_ = e.seq;
-  Fired fired{e.time, make_id(e.slot, e.generation),
-              std::move(slots_[e.slot].callback)};
-  retire_slot(e.slot);
-  return fired;
+void EventQueue::drop_stale_relays() const {
+  while (!relays_.empty()) {
+    const Entry& e = relays_.front();
+    const Slot& slot = slots_[e.slot];
+    if (slot.live && slot.generation == e.generation) return;
+    relays_.pop_front();
+  }
+}
+
+SimTime EventQueue::next_time() const {
+  Lane lane = Lane::kHeap;
+  const Entry* e = front(lane);
+  assert(e != nullptr && "next_time() on empty EventQueue");
+  return e->time;
 }
 
 EventQueue::Fired EventQueue::pop() {
-  drop_stale_top();
-  drop_stale_fifo();
-  if (!fifo_drained() &&
-      (heap_.empty() || before(now_fifo_[now_head_], heap_.front()))) {
-    return pop_fifo_front();
-  }
-  assert(!heap_.empty() && "pop() on empty EventQueue");
-  const Entry top = heap_.front();
-  pop_top();
-  current_ = top.time;
-  current_seq_ = top.seq;
-  Fired fired{top.time, make_id(top.slot, top.generation),
-              std::move(slots_[top.slot].callback)};
-  retire_slot(top.slot);
-  return fired;
+  Fired out;
+  const bool popped = pop_if_at_most(SimTime::max(), out);
+  assert(popped && "pop() on empty EventQueue");
+  (void)popped;
+  return out;
 }
 
 bool EventQueue::pop_if_at_most(SimTime limit, Fired& out) {
-  drop_stale_top();
-  drop_stale_fifo();
-  if (!fifo_drained() &&
-      (heap_.empty() || before(now_fifo_[now_head_], heap_.front()))) {
-    if (now_fifo_[now_head_].time > limit) return false;
-    out = pop_fifo_front();
+  Lane lane = Lane::kHeap;
+  const Entry* front_entry = front(lane);
+  if (front_entry == nullptr || front_entry->time > limit) return false;
+  const Entry e = *front_entry;
+  switch (lane) {
+    case Lane::kNow: ++now_head_; break;
+    case Lane::kHeap: pop_top(); break;
+    case Lane::kRelay: relays_.pop_front(); break;
+  }
+  current_ = e.time;
+  current_seq_ = e.seq;
+  Slot& slot = slots_[e.slot];
+  if (slot.stage == Stage::kFirst) [[unlikely]] {
+    pass_first_stage(e);
+    out = Fired{e.time, make_id(e.slot, e.generation), {}};
     return true;
   }
-  if (heap_.empty() || heap_.front().time > limit) return false;
-  const Entry top = heap_.front();
-  pop_top();
-  current_ = top.time;
-  current_seq_ = top.seq;
-  out = Fired{top.time, make_id(top.slot, top.generation),
-              std::move(slots_[top.slot].callback)};
-  retire_slot(top.slot);
+  out = Fired{e.time, make_id(e.slot, e.generation), std::move(slot.callback)};
+  retire_slot(e.slot);
   return true;
+}
+
+void EventQueue::pass_first_stage(const Entry& e) {
+  // Re-key under the next sequence number, exactly where an intermediate
+  // event's callback would have scheduled the final event.
+  Slot& slot = slots_[e.slot];
+  const SimTime at =
+      e.time + SimTime::nanoseconds(static_cast<std::int64_t>(slot.link));
+  slot.stage = Stage::kSecond;
+  slot.link = ++scheduled_;
+  ++relayed_;
+  heap_.push_back(Entry{at, slot.link, e.slot, e.generation});
+  sift_up(heap_.size() - 1);
 }
 
 std::size_t EventQueue::discard_all() {
   std::size_t n = 0;
   while (!empty()) {
     Fired fired = pop();
-    (void)fired;  // callback destroyed here; may enqueue new events
-    ++n;
+    // The callback is destroyed here and may enqueue new events; a relay's
+    // first stage carries none and is discarded at its second.
+    if (fired.callback) ++n;
   }
   return n;
 }

@@ -4,8 +4,10 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
+#include "sim/ring_queue.h"
 #include "sim/time.h"
 #include "sim/unique_function.h"
 
@@ -32,14 +34,36 @@ inline constexpr EventId kNoEvent = 0;
 /// detects staleness even after the slot has been reused). When dead
 /// entries outnumber live ones, cancel() sweeps them out in one pass.
 ///
-/// Same-instant fast lane: an event scheduled for exactly the time of the
-/// most recently popped event (a zero-delay cascade -- dispatch pumps,
-/// bulk-granted memory, gang fan-out) bypasses the heap into a plain FIFO.
-/// This is order-exact, not an approximation: every heap entry at that
-/// instant was inserted before the clock reached it and so carries a lower
-/// sequence number than anything in the lane, and pop() compares the two
-/// fronts under the same strict (time, seq) order either way. Roughly a
-/// third of all events in the paper's workloads take this O(1) path.
+/// Three lanes feed pop(), which compares their fronts under the same
+/// strict (time, seq) order, so the lanes change cost, never order:
+///
+///  * The heap, for everything not below.
+///  * The same-instant lane: an event scheduled for exactly the time of the
+///    most recently popped event (a zero-delay cascade -- dispatch pumps,
+///    bulk-granted memory, gang fan-out) bypasses the heap into a plain
+///    FIFO. Every heap entry at that instant was inserted before the clock
+///    reached it and so carries a lower sequence number than anything in
+///    the lane.
+///  * The relay lane (schedule_relay): a relay's first stage, which in the
+///    paper's workloads is always a context switch of the machine's one
+///    fixed length, so relays arrive already sorted by (time, seq) and a
+///    FIFO holds them. A relay that would break that order takes the heap.
+///
+/// Census (fig3-6 `--with-16h`, 3.16M pops): 61% come off the heap, 14% off
+/// the same-instant lane and 26% are relay first stages, none of which fell
+/// back to the heap.
+///
+/// Relays. A relay is one event in two stages: it is scheduled at `at`
+/// under a fresh key k1 and fires nothing there. When (at, k1) reaches the
+/// front, the queue issues the next sequence number k2 and re-inserts the
+/// same slot (same handle) at `at + after`, where its callback then fires.
+/// That is exactly what a real intermediate event at (at, k1) would do if
+/// its callback scheduled the final one after `after`, so every key in the
+/// run matches that two-event schedule; the relay saves the callback, the
+/// slot churn and one fired event. pop() hands the first stage back as a
+/// Fired record with an empty callback, so the caller sees the same step
+/// sequence as with the intermediate event. A relay counts once in
+/// scheduled_count().
 class EventQueue {
  public:
   using Callback = UniqueFunction<void()>;
@@ -63,8 +87,31 @@ class EventQueue {
   /// since an old key may precede entries in the same-instant lane.
   EventId schedule_at_seq(SimTime at, std::uint64_t seq, Callback cb);
 
+  /// Schedules a relay (see the class comment): its first stage at `at`
+  /// under a fresh key, then `cb` fires `after` (>= 0) later under the key
+  /// issued when the first stage reaches the front.
+  EventId schedule_relay(SimTime at, SimTime after, Callback cb);
+
+  /// Sets the `after` of a relay still in its first stage. Returns false
+  /// (changing nothing) for any other handle.
+  bool retarget_relay(EventId id, SimTime after);
+
+  /// Turns a relay still in its first stage into a plain event that fires
+  /// `cb` at the first stage's time and key. Returns false (changing
+  /// nothing) for any other handle.
+  bool stop_relay(EventId id);
+
+  /// True while `id` is a relay in its first stage.
+  [[nodiscard]] bool relay_pending(EventId id) const;
+
+  /// The key a pending relay's second stage fires under (issued when its
+  /// first stage passed). 0 for any other handle, including a relay still
+  /// in its first stage, whose key last_seq() gave when it was scheduled.
+  [[nodiscard]] std::uint64_t relay_key(EventId id) const;
+
   /// Highest sequence number issued so far (0 before the first schedule):
-  /// read right after schedule(), the key that event fires under.
+  /// read right after schedule() or schedule_relay(), the key that event
+  /// (or relay's first stage) fires under.
   [[nodiscard]] std::uint64_t last_seq() const { return scheduled_; }
 
   /// Sequence number of the most recently popped event (0 before the
@@ -104,7 +151,8 @@ class EventQueue {
   [[nodiscard]] SimTime next_time() const;
 
   /// Removes and returns the earliest pending event's callback, along with
-  /// its firing time. Must not be called when empty.
+  /// its firing time. Must not be called when empty. A relay's first stage
+  /// comes back with an empty callback: the relay is still pending.
   struct Fired {
     SimTime time;
     EventId id = kNoEvent;
@@ -119,8 +167,11 @@ class EventQueue {
   /// but walks the stale-entry lazy-deletion pass once instead of twice.
   bool pop_if_at_most(SimTime limit, Fired& out);
 
-  /// Total events ever scheduled (monotone; includes cancelled ones).
-  [[nodiscard]] std::uint64_t scheduled_count() const { return scheduled_; }
+  /// Total events ever scheduled (monotone; includes cancelled ones). A
+  /// relay counts once.
+  [[nodiscard]] std::uint64_t scheduled_count() const {
+    return scheduled_ - relayed_;
+  }
 
   /// High-water mark of the pending set (kernel self-profile: heap depth).
   [[nodiscard]] std::size_t peak_size() const { return peak_live_; }
@@ -137,12 +188,18 @@ class EventQueue {
     std::uint32_t slot;
     std::uint32_t generation;
   };
+  enum class Stage : std::uint8_t { kPlain, kFirst, kSecond };
   struct Slot {
     Callback callback;
     std::uint32_t generation = 0;
-    std::uint32_t next_free = kFreeListEnd;
     bool live = false;
+    Stage stage = Stage::kPlain;  // a relay's stage
+    /// One word, three uses, so the slot stays 80 bytes: the next free slot
+    /// while free; a relay's `after` (ns) in its first stage, then its
+    /// second stage's key.
+    std::uint64_t link = kFreeListEnd;
   };
+  enum class Lane : std::uint8_t { kHeap, kNow, kRelay };
   static constexpr std::uint32_t kFreeListEnd = 0xffffffffu;
   /// Slot-pool capacity reserved on first use (~380 KB with the heap array).
   /// One queue serves a whole simulated machine, so this is paid once per
@@ -165,6 +222,13 @@ class EventQueue {
   /// Takes a slot from the free list (or grows the pool) and moves `cb`
   /// into it. Shared by schedule() and schedule_batch().
   std::uint32_t acquire_slot(Callback cb);
+
+  /// The pending slot `id` names, or null if it fired, was cancelled or was
+  /// never issued.
+  [[nodiscard]] const Slot* find(EventId id) const;
+  [[nodiscard]] Slot* find(EventId id) {
+    return const_cast<Slot*>(std::as_const(*this).find(id));
+  }
 
   /// Marks the slot dead, bumps its generation (invalidating outstanding
   /// handles and heap entries), and returns it to the free list.
@@ -199,8 +263,13 @@ class EventQueue {
   [[nodiscard]] bool fifo_eligible(SimTime at) const {
     return at == current_ && (fifo_drained() || now_fifo_.back().time == at);
   }
-  /// Consumes the front lane entry (already known live) as a Fired record.
-  Fired pop_fifo_front();
+  /// Drops cancelled entries at every lane's front and returns the earliest
+  /// live entry (null when the queue is empty) and, in `lane`, its lane.
+  const Entry* front(Lane& lane) const;
+  /// Re-inserts a relay's first stage `e` (just removed) as its second.
+  void pass_first_stage(const Entry& e);
+  /// Skips cancelled entries at the front of the relay lane.
+  void drop_stale_relays() const;
 
   mutable std::vector<Entry> heap_;
   /// Same-instant lane: entries at the current instant, consumed from
@@ -209,9 +278,14 @@ class EventQueue {
   /// pending), so a flat vector with a head cursor suffices.
   mutable std::vector<Entry> now_fifo_;
   mutable std::size_t now_head_ = 0;
+  /// Relay lane: first stages in (time, seq) order. Relays are pending
+  /// throughout a busy run, so it never drains for a reset like the
+  /// same-instant lane; a ring reuses its storage instead.
+  mutable RingQueue<Entry> relays_;
   std::vector<Slot> slots_;
   std::uint32_t free_head_ = kFreeListEnd;
-  std::uint64_t scheduled_ = 0;
+  std::uint64_t scheduled_ = 0;  // last sequence number issued
+  std::uint64_t relayed_ = 0;    // keys issued to relays' second stages
   std::size_t live_ = 0;
   std::size_t peak_live_ = 0;
   /// Time of the most recently popped event; the gate for the fast lane.

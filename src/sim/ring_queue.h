@@ -38,6 +38,11 @@ class RingQueue {
     return buf_[head_];
   }
 
+  [[nodiscard]] const T& back() const {
+    assert(size_ > 0);
+    return buf_[wrap(head_ + size_ - 1)];
+  }
+
   void pop_front() {
     assert(size_ > 0);
     buf_[head_] = T{};

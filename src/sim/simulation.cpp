@@ -26,6 +26,12 @@ EventId Simulation::schedule_at_seq(SimTime at, std::uint64_t seq,
   return queue_.schedule_at_seq(at, seq, std::move(cb));
 }
 
+EventId Simulation::schedule_relay(SimTime delay, SimTime after,
+                                  EventQueue::Callback cb) {
+  assert(!delay.is_negative() && "negative delay");
+  return queue_.schedule_relay(now_ + delay, after, std::move(cb));
+}
+
 std::size_t Simulation::schedule_batch(SimTime delay, EventBatch& batch) {
   assert(!delay.is_negative() && "negative delay");
   const std::size_t n = queue_.schedule_batch(now_ + delay, batch.callbacks());
@@ -39,6 +45,7 @@ std::uint64_t Simulation::run(std::uint64_t max_events) {
     auto fired = queue_.pop();
     assert(fired.time >= now_);
     now_ = fired.time;
+    if (!fired.callback) continue;  // a relay's first stage
     fired.callback();
     ++n;
   }
@@ -51,6 +58,7 @@ std::uint64_t Simulation::run_until(SimTime until) {
   EventQueue::Fired fired;
   while (queue_.pop_if_at_most(until, fired)) {
     now_ = fired.time;
+    if (!fired.callback) continue;  // a relay's first stage
     fired.callback();
     ++n;
   }
@@ -64,6 +72,7 @@ bool Simulation::step() {
   if (queue_.empty()) return false;
   auto fired = queue_.pop();
   now_ = fired.time;
+  if (!fired.callback) return true;  // a relay's first stage
   fired.callback();
   ++fired_;
   return true;
@@ -73,6 +82,7 @@ bool Simulation::step_until(SimTime limit) {
   EventQueue::Fired fired;
   if (!queue_.pop_if_at_most(limit, fired)) return false;
   now_ = fired.time;
+  if (!fired.callback) return true;  // a relay's first stage
   fired.callback();
   ++fired_;
   return true;

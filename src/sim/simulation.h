@@ -37,6 +37,25 @@ class Simulation {
   EventId schedule_at_seq(SimTime at, std::uint64_t seq,
                           EventQueue::Callback cb);
 
+  /// Schedules a relay (EventQueue::schedule_relay): nothing fires at
+  /// now()+delay, where it takes its tie-break key; `cb` then fires `after`
+  /// later, under the key issued when the first stage comes up -- the keys
+  /// an event at now()+delay scheduling `cb` after `after` would produce,
+  /// with one event fewer fired.
+  EventId schedule_relay(SimTime delay, SimTime after,
+                         EventQueue::Callback cb);
+  /// See EventQueue::retarget_relay, stop_relay, relay_pending, relay_key.
+  bool retarget_relay(EventId id, SimTime after) {
+    return queue_.retarget_relay(id, after);
+  }
+  bool stop_relay(EventId id) { return queue_.stop_relay(id); }
+  [[nodiscard]] bool relay_pending(EventId id) const {
+    return queue_.relay_pending(id);
+  }
+  [[nodiscard]] std::uint64_t relay_key(EventId id) const {
+    return queue_.relay_key(id);
+  }
+
   /// Highest sequence number issued so far: read right after schedule(),
   /// the FIFO tie-break key that event fires under.
   [[nodiscard]] std::uint64_t last_seq() const { return queue_.last_seq(); }
@@ -60,17 +79,21 @@ class Simulation {
   bool cancel(EventId id) { return queue_.cancel(id); }
 
   /// Runs until the event set is exhausted or `max_events` fire.
-  /// Returns the number of events fired.
+  /// Returns the number of events fired (a relay's first stage fires none).
   std::uint64_t run(std::uint64_t max_events = UINT64_MAX);
 
   /// Runs events with time <= `until`, then advances the clock to `until`
   /// (even if no event fired exactly there). Returns events fired.
   std::uint64_t run_until(SimTime until);
 
-  /// Fires exactly one event if any is pending. Returns true if one fired.
+  /// Fires exactly one event if any is pending, or passes one relay's first
+  /// stage if that comes first (advancing the clock to it, firing nothing),
+  /// as an intermediate event would take one step. Returns true if either
+  /// happened.
   bool step();
 
-  /// Fires exactly one event if one is pending at or before `limit`.
+  /// Fires exactly one event (or passes one relay's first stage, as step())
+  /// if one is pending at or before `limit`.
   /// Equivalent to `!idle() && next_event_time() <= limit` followed by
   /// step(), but performs the queue's lazy-deletion scan once instead of
   /// twice -- the shape of a watchdog-bounded run loop.
@@ -84,8 +107,10 @@ class Simulation {
   /// Firing time of the earliest pending event; must not be called idle.
   [[nodiscard]] SimTime next_event_time() const { return queue_.next_time(); }
   [[nodiscard]] std::size_t pending_events() const { return queue_.size(); }
+  /// Callbacks fired so far; a relay's first stage fires none.
   [[nodiscard]] std::uint64_t fired_events() const { return fired_; }
-  /// Total events ever scheduled (monotone; includes cancelled ones).
+  /// Total events ever scheduled (monotone; includes cancelled ones; a
+  /// relay counts once).
   [[nodiscard]] std::uint64_t scheduled_events() const {
     return queue_.scheduled_count();
   }

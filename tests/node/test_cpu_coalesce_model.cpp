@@ -17,7 +17,11 @@
 // every charge span (so every op's completion time), quantum-expiry and
 // exit instant, including those the coalesced CPU emits arithmetically.
 // Constructed ties then put each interrupt kind exactly on a virtual
-// boundary, and pin the one documented divergence of the tie rule.
+// boundary, and pin the one documented divergence of the tie rule. The
+// reference also charges every context switch as an event of its own, where
+// the Transputer fuses it into the charge it leads into; a last group of
+// ties puts interrupts inside that switch, on its end, and schedules events
+// from inside it.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -988,7 +992,10 @@ constexpr SimTime kQ = SimTime::milliseconds(2);
 
 SimTime boundary(int j) { return kStart + kQ * (j + 1); }
 
-Scenario tie_scenario(Injection::What what, int j, SimTime scheduled_at) {
+/// `what` lands exactly at `at`, scheduled up front (scheduled_at < 0) or
+/// from an event at `scheduled_at`.
+Scenario tie_scenario_at(Injection::What what, SimTime at,
+                         SimTime scheduled_at) {
   Scenario sc;
   Spec lone;
   lone.ops.push_back({Kind::kCompute, SimTime::milliseconds(10)});
@@ -997,10 +1004,8 @@ Scenario tie_scenario(Injection::What what, int j, SimTime scheduled_at) {
   sc.processes = {lone, other};
   sc.injections.push_back({Injection::What::kArrive, us(0), 0, {}});
   using W = Injection::What;
-  Injection inj{what, boundary(j), what == W::kSuspend ||
-                                           what == W::kForceExit
-                                       ? 0
-                                       : 1,
+  Injection inj{what, at,
+                what == W::kSuspend || what == W::kForceExit ? 0 : 1,
                 us(300), scheduled_at};
   if (what == W::kResume) {
     // Park the other process first so resume has something to enqueue.
@@ -1009,12 +1014,16 @@ Scenario tie_scenario(Injection::What what, int j, SimTime scheduled_at) {
   }
   sc.injections.push_back(inj);
   if (what == W::kCrash) {
-    sc.injections.push_back({W::kRestore, boundary(j) + us(700), 0, {}});
+    sc.injections.push_back({W::kRestore, at + us(700), 0, {}});
   }
   if (what == W::kSuspend) {
-    sc.injections.push_back({W::kResume, boundary(j) + us(700), 0, {}});
+    sc.injections.push_back({W::kResume, at + us(700), 0, {}});
   }
   return sc;
+}
+
+Scenario tie_scenario(Injection::What what, int j, SimTime scheduled_at) {
+  return tie_scenario_at(what, boundary(j), scheduled_at);
 }
 
 const Injection::What kTieKinds[] = {
@@ -1097,6 +1106,93 @@ TEST(CpuCoalesceModel, TieRuleDivergenceIsPinned) {
   Counters same = got.counters;
   same.quantum_expiries = ref.counters.quantum_expiries;
   EXPECT_EQ(same, ref.counters);
+}
+
+// --- the fused context switch -------------------------------------------
+//
+// The switch into the lone process runs over [0, kStart) as the prefix of
+// its first op charge, which the kernel holds as a relay: nothing fires at
+// kStart, where the reference fires its switch event and plans the op
+// charge under a fresh key. Interrupts inside that window, exactly on its
+// end, and events scheduled from inside it must see what the reference's
+// separate switch event shows them.
+
+TEST(CpuCoalesceModel, InterruptsInsideTheSwitchMatchReference) {
+  for (const auto what : kTieKinds) {
+    const std::string kind = std::to_string(static_cast<int>(what));
+    expect_same(tie_scenario_at(what, us(4), SimTime::nanoseconds(-1)),
+                "kind " + kind + " mid-switch, up front");
+    expect_same(tie_scenario_at(what, us(6), us(2)),
+                "kind " + kind + " mid-switch, from inside it");
+  }
+}
+
+TEST(CpuCoalesceModel, InterruptsExactlyOnTheOpStartMatchReference) {
+  for (const auto what : kTieKinds) {
+    const std::string kind = std::to_string(static_cast<int>(what));
+    // Keyed before the switch (scheduled before the dispatch that planned
+    // it): it finds the switch still running.
+    expect_same(tie_scenario_at(what, kStart, SimTime::nanoseconds(-1)),
+                "kind " + kind + " on the op start, keyed before");
+    // Keyed after it (scheduled from inside the switch): the switch is
+    // over and the op charge has just started.
+    expect_same(tie_scenario_at(what, kStart, us(5)),
+                "kind " + kind + " on the op start, keyed after");
+  }
+}
+
+TEST(CpuCoalesceModel, EventsScheduledInsideTheSwitchTieLikeReference) {
+  // Scheduled inside the switch, so keyed below the op charge, whose key is
+  // issued only when the switch completes: the event precedes the first
+  // boundary and the end of the charge in both models. Keying the fused
+  // charge at the switch start instead would put both ahead of it.
+  const SimTime end = kStart + SimTime::milliseconds(10);
+  for (const auto what : kTieKinds) {
+    const std::string kind = std::to_string(static_cast<int>(what));
+    expect_same(tie_scenario_at(what, boundary(0), us(5)),
+                "kind " + kind + " from the switch onto b0");
+    expect_same(tie_scenario_at(what, end, us(5)),
+                "kind " + kind + " from the switch onto the charge end");
+  }
+}
+
+TEST(CpuCoalesceModel, CrashInsideTheSwitchThenRestoreMatchesReference) {
+  using W = Injection::What;
+  // Restored after the switch would have ended: the switch completes on
+  // the frozen CPU and the process parks until the restore.
+  expect_same(tie_scenario_at(W::kCrash, us(3), SimTime::nanoseconds(-1)),
+              "crash mid-switch, restore after it");
+  // Restored inside the switch: the op charge follows it as usual.
+  Scenario sc;
+  Spec lone;
+  lone.ops.push_back({Kind::kCompute, SimTime::milliseconds(10)});
+  sc.processes = {lone};
+  sc.injections.push_back({W::kArrive, us(0), 0, {}});
+  sc.injections.push_back({W::kCrash, us(3), 0, {}});
+  sc.injections.push_back({W::kRestore, us(7), 0, {}, us(1)});
+  expect_same(sc, "crash and restore mid-switch");
+  // Crashed on the op start, keyed before the switch: it still finds the
+  // switch running.
+  sc.injections[1].at = kStart;
+  sc.injections[2].at = kStart + us(200);
+  expect_same(sc, "crash on the op start, keyed before");
+}
+
+TEST(CpuCoalesceModel, TimeSharedQuantaFireOneEventEach) {
+  // Two compute-bound processes alternate quanta: every quantum starts with
+  // a context switch, fused into its charge here, an event of its own in
+  // the reference.
+  Scenario sc;
+  Spec spec;
+  spec.ops.push_back({Kind::kCompute, SimTime::milliseconds(20)});
+  sc.processes = {spec, spec};
+  sc.injections.push_back({Injection::What::kArrive, us(0), 0, {}});
+  sc.injections.push_back({Injection::What::kArrive, us(0), 1, {}});
+  const Outcome ref = run_world<ReferenceWorld>(sc);
+  const Outcome got = run_world<CoalescedWorld>(sc);
+  EXPECT_EQ(ref.counters, got.counters);
+  EXPECT_EQ(got.counters.context_switches, 20u);  // 10 quanta each
+  EXPECT_EQ(ref.fired - got.fired, 20u);
 }
 
 }  // namespace

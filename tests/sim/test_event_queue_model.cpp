@@ -1,10 +1,12 @@
 // Randomized differential model check of the EventQueue kernel.
 //
 // The queue under test is a 4-ary heap over a generation-tagged slot pool
-// with a same-instant FIFO fast lane and a bulk-insert path -- four
+// with a same-instant FIFO fast lane, a relay lane and a bulk-insert path --
 // interacting mechanisms whose contract is simple to state: events fire in
-// strict (time, insertion-order) order, handles cancel exactly once, and
-// schedule_batch is observably identical to a loop of schedule calls. The
+// strict (time, insertion-order) order, handles cancel exactly once,
+// schedule_batch is observably identical to a loop of schedule calls, and a
+// relay is observably identical to a real intermediate event whose callback
+// schedules the final one (RelayDriver below). The
 // reference model here is a std::multimap keyed on (time, seq): trivially
 // correct, allocation-happy, and slow -- everything the production queue is
 // not. Each seeded run drives both through the same operation stream and
@@ -34,10 +36,25 @@ SimTime ns(std::int64_t v) { return SimTime::nanoseconds(v); }
 class ReferenceQueue {
  public:
   std::uint64_t schedule(SimTime at, int payload) {
+    return schedule_at_seq(at, seq_ + 1, payload);
+  }
+
+  /// Mirrors EventQueue::schedule_at_seq: fires under `key`, but still
+  /// consumes a sequence number.
+  std::uint64_t schedule_at_seq(SimTime at, std::uint64_t key, int payload) {
+    ++seq_;
     const std::uint64_t handle = next_handle_++;
-    const auto it = events_.emplace(Key{at, ++seq_}, Pending{payload, handle});
+    const auto it = events_.emplace(Key{at, key}, Pending{payload, handle});
     handles_.emplace(handle, it);
     return handle;
+  }
+
+  [[nodiscard]] std::uint64_t last_seq() const { return seq_; }
+  [[nodiscard]] std::uint64_t current_seq() const { return current_seq_; }
+  /// Key of a pending event (0 if it is not pending).
+  [[nodiscard]] std::uint64_t key_of(std::uint64_t handle) const {
+    const auto it = handles_.find(handle);
+    return it == handles_.end() ? 0 : it->second->first.second;
   }
 
   bool cancel(std::uint64_t handle) {
@@ -60,6 +77,7 @@ class ReferenceQueue {
   Popped pop() {
     const auto it = events_.begin();
     Popped out{it->first.first, it->second.payload};
+    current_seq_ = it->first.second;
     handles_.erase(it->second.handle);
     events_.erase(it);
     return out;
@@ -75,6 +93,7 @@ class ReferenceQueue {
   std::unordered_map<std::uint64_t, std::multimap<Key, Pending>::iterator>
       handles_;
   std::uint64_t seq_ = 0;
+  std::uint64_t current_seq_ = 0;
   std::uint64_t next_handle_ = 1;
 };
 
@@ -232,6 +251,249 @@ TEST(EventQueueModel, RandomizedDifferential) {
     DifferentialDriver driver(seed);
     driver.run(10'000);
   }
+}
+
+// --- relays -----------------------------------------------------------
+//
+// A relay checked against its definition: the reference schedules a real
+// intermediate event at the first stage, and when the reference pops it the
+// driver plays its callback -- schedule the final event `after` later under
+// a fresh key (or, once stopped, fire the payload right there). Pop order,
+// last_seq() and current_seq() must match after every operation, through
+// retargets, stops and cancels in either stage, pop_if_at_most limits that
+// straddle first stages, next_time() peeks with a relay at the front, and
+// relays that arrive out of order (the heap fallback).
+class RelayDriver {
+ public:
+  explicit RelayDriver(std::uint64_t seed) : rng_(seed) {}
+
+  void run(int ops) {
+    for (int i = 0; i < ops; ++i) {
+      step();
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+    while (!reference_.empty()) {
+      do_pop();
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+    EXPECT_TRUE(queue_.empty());
+    EXPECT_GT(relayed_, 0u);
+  }
+
+ private:
+  /// The usual first stage: a fixed-length switch from the last pop, so
+  /// relays reach the queue in (time, key) order and ride the relay lane.
+  static constexpr SimTime kSwitch = SimTime::nanoseconds(10);
+
+  struct Relay {
+    EventId id = kNoEvent;
+    int payload = 0;
+    SimTime after;
+    std::uint64_t ref = 0;  // intermediate's handle, then the final's
+    bool second = false;    // the intermediate fired
+    bool stopped = false;
+    bool relay = true;      // false once moved by cancel + schedule_at_seq
+  };
+
+  int pick(int lo, int hi) {
+    return std::uniform_int_distribution<int>(lo, hi)(rng_);
+  }
+  SimTime pick_after() { return pick(0, 3) == 0 ? ns(0) : ns(pick(1, 40)); }
+  Relay* pick_relay() {
+    if (relays_.empty()) return nullptr;
+    return &relays_[static_cast<std::size_t>(
+        pick(0, static_cast<int>(relays_.size()) - 1))];
+  }
+  /// The reference payload of relay r's intermediate event.
+  static int intermediate(std::size_t r) { return -2 - static_cast<int>(r); }
+
+  void step() {
+    const int r = pick(0, 99);
+    if (r < 25) {
+      do_schedule();
+    } else if (r < 45) {
+      do_relay();
+    } else if (r < 65) {
+      do_pop();
+    } else if (r < 77) {
+      do_pop_if_at_most();
+    } else if (r < 84) {
+      do_cancel();
+    } else if (r < 91) {
+      do_retarget();
+    } else if (r < 95) {
+      do_stop();
+    } else {
+      do_peek();
+    }
+    ASSERT_EQ(queue_.size(), reference_.size());
+    ASSERT_EQ(queue_.last_seq(), reference_.last_seq());
+    ASSERT_EQ(queue_.scheduled_count(), reference_.last_seq() - relayed_);
+  }
+
+  void do_schedule() {
+    const SimTime at = pick(0, 2) == 0 ? clock_ : clock_ + ns(pick(0, 50));
+    const int payload = next_payload_++;
+    plain_.emplace_back(
+        queue_.schedule(at, [this, payload] { fired_payload_ = payload; }),
+        reference_.schedule(at, payload));
+  }
+
+  void do_relay() {
+    // One in eight lands earlier than the relays before it: heap fallback.
+    const SimTime at =
+        pick(0, 7) == 0 ? clock_ + ns(pick(0, 9)) : clock_ + kSwitch;
+    Relay r;
+    r.payload = next_payload_++;
+    r.after = pick_after();
+    r.id = queue_.schedule_relay(
+        at, r.after, [this, payload = r.payload] { fired_payload_ = payload; });
+    r.ref = reference_.schedule(at, intermediate(relays_.size()));
+    EXPECT_TRUE(queue_.relay_pending(r.id));
+    EXPECT_EQ(queue_.last_seq(), reference_.key_of(r.ref));
+    EXPECT_EQ(queue_.relay_key(r.id), 0u);  // no second-stage key yet
+    relays_.push_back(r);
+  }
+
+  void do_pop() {
+    if (reference_.empty()) {
+      EXPECT_TRUE(queue_.empty());
+      return;
+    }
+    const ReferenceQueue::Popped expected = reference_.pop();
+    EventQueue::Fired fired = queue_.pop();
+    check_fired(fired, expected);
+  }
+
+  void do_pop_if_at_most() {
+    const SimTime limit = clock_ + ns(pick(0, 25));
+    EventQueue::Fired fired;
+    const bool popped = queue_.pop_if_at_most(limit, fired);
+    ASSERT_EQ(popped, !reference_.empty() && reference_.next_time() <= limit);
+    if (popped) check_fired(fired, reference_.pop());
+  }
+
+  void do_cancel() {
+    if (pick(0, 1) == 0 && !plain_.empty()) {
+      const auto idx = static_cast<std::size_t>(
+          pick(0, static_cast<int>(plain_.size()) - 1));
+      EXPECT_EQ(queue_.cancel(plain_[idx].first),
+                reference_.cancel(plain_[idx].second));
+      plain_[idx] = plain_.back();
+      plain_.pop_back();
+      return;
+    }
+    if (Relay* r = pick_relay()) {
+      EXPECT_EQ(queue_.cancel(r->id), reference_.cancel(r->ref));
+    }
+  }
+
+  void do_retarget() {
+    Relay* r = pick_relay();
+    if (r == nullptr) return;
+    const std::uint64_t key = reference_.key_of(r->ref);
+    const bool first = key != 0 && r->relay && !r->second && !r->stopped;
+    EXPECT_EQ(queue_.relay_pending(r->id), first);
+    if (r->relay && r->second) EXPECT_EQ(queue_.relay_key(r->id), key);
+    const SimTime after = pick_after();
+    if (queue_.retarget_relay(r->id, after)) {
+      ASSERT_TRUE(first);
+      r->after = after;  // the intermediate reads it when it fires
+      return;
+    }
+    ASSERT_FALSE(first);
+    if (key == 0 || !r->second) return;
+    // Second stage: move the final event under its key, as a CPU cuts a
+    // charge back -- the same cancel + schedule_at_seq on both sides.
+    const SimTime at = clock_ + ns(pick(0, 30));
+    ASSERT_TRUE(queue_.cancel(r->id));
+    ASSERT_TRUE(reference_.cancel(r->ref));
+    r->id = queue_.schedule_at_seq(
+        at, key, [this, payload = r->payload] { fired_payload_ = payload; });
+    r->ref = reference_.schedule_at_seq(at, key, r->payload);
+    r->relay = false;
+  }
+
+  void do_stop() {
+    Relay* r = pick_relay();
+    if (r == nullptr) return;
+    const bool first = reference_.key_of(r->ref) != 0 && r->relay &&
+                       !r->second && !r->stopped;
+    EXPECT_EQ(queue_.stop_relay(r->id), first);
+    if (first) r->stopped = true;
+  }
+
+  void do_peek() {
+    if (reference_.empty()) {
+      EXPECT_TRUE(queue_.empty());
+      return;
+    }
+    EXPECT_EQ(queue_.next_time(), reference_.next_time());
+  }
+
+  void check_fired(EventQueue::Fired& fired, ReferenceQueue::Popped expected) {
+    ASSERT_EQ(fired.time, expected.time);
+    ASSERT_EQ(queue_.current_seq(), reference_.current_seq());
+    clock_ = fired.time;
+    if (expected.payload <= -2) {
+      Relay& r = relays_[static_cast<std::size_t>(-2 - expected.payload)];
+      if (!r.stopped) {
+        // The intermediate's callback: the final event, under a fresh key.
+        ASSERT_FALSE(fired.callback) << "a first stage fires nothing";
+        r.ref = reference_.schedule(expected.time + r.after, r.payload);
+        r.second = true;
+        ++relayed_;
+        EXPECT_FALSE(queue_.relay_pending(r.id));
+        EXPECT_EQ(queue_.relay_key(r.id), reference_.key_of(r.ref));
+        return;
+      }
+      expected.payload = r.payload;  // stopped: fires at its first stage
+    }
+    ASSERT_TRUE(fired.callback);
+    fired_payload_ = -1;
+    fired.callback();
+    ASSERT_EQ(fired_payload_, expected.payload);
+  }
+
+  std::mt19937_64 rng_;
+  EventQueue queue_;
+  ReferenceQueue reference_;
+  std::vector<std::pair<EventId, std::uint64_t>> plain_;
+  std::vector<Relay> relays_;
+  std::uint64_t relayed_ = 0;  // first stages passed
+  SimTime clock_;
+  int next_payload_ = 0;
+  int fired_payload_ = -1;
+};
+
+TEST(EventQueueModel, RelaysMatchIntermediateEvents) {
+  for (std::uint64_t seed = 1; seed <= 50; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    RelayDriver driver(seed);
+    driver.run(5'000);
+    if (HasFatalFailure()) return;
+  }
+}
+
+TEST(EventQueueModel, RelayStepsLikeAnIntermediateEvent) {
+  // Simulation-level: step() and step_until() take a first stage as one
+  // step (clock moved, nothing fired), so a peek-then-step loop -- the
+  // sampler's -- never fires an event past the time it peeked.
+  Simulation sim;
+  std::vector<std::int64_t> fired;
+  sim.schedule_relay(ns(10), ns(5), [&] { fired.push_back(sim.now().ns()); });
+  sim.schedule(ns(12), [&] { fired.push_back(sim.now().ns()); });
+  EXPECT_EQ(sim.next_event_time(), ns(10));
+  EXPECT_TRUE(sim.step());
+  EXPECT_EQ(sim.now(), ns(10));
+  EXPECT_EQ(sim.fired_events(), 0u);
+  EXPECT_EQ(sim.next_event_time(), ns(12));
+  EXPECT_TRUE(sim.step_until(ns(12)));
+  EXPECT_FALSE(sim.step_until(ns(14)));
+  EXPECT_EQ(sim.run(), 1u);
+  EXPECT_EQ(fired, (std::vector<std::int64_t>{12, 15}));
+  EXPECT_EQ(sim.fired_events(), 2u);
+  EXPECT_EQ(sim.scheduled_events(), 2u);  // a relay counts once
 }
 
 // Most events are cancelled long before their time -- the shape of a CPU
